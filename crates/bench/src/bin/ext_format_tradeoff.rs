@@ -12,7 +12,7 @@ use std::sync::Arc;
 use gnnone_bench::report::Table;
 use gnnone_bench::{cli, profiling, report, runner};
 use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneCsrSpmm, GnnOneSpmm};
-use gnnone_kernels::traits::SpmmKernel;
+use gnnone_kernels::traits::{Kernel, SpmmKernel};
 
 fn main() -> std::process::ExitCode {
     gnnone_bench::figure_main("ext_format_tradeoff", run)
@@ -42,8 +42,8 @@ fn run() -> Result<(), gnnone_sim::GnnOneError> {
             ));
             let csr: Box<dyn SpmmKernel> = Box::new(GnnOneCsrSpmm::new(Arc::clone(&ld.graph)));
             let cells = [coo, csr]
-                .iter()
-                .map(|k| runner::run_spmm_guarded(&backend, k.as_ref(), &ld, dim, &mut guard))
+                .into_iter()
+                .map(|k| runner::run_guarded(&backend, &Kernel::Spmm(k), &ld, dim, &mut guard))
                 .collect();
             table.push_row(spec.id, cells);
         }

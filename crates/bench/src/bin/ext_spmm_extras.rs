@@ -9,7 +9,7 @@ use gnnone_bench::report::Table;
 use gnnone_bench::{cli, profiling, report, runner};
 use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneSpmm};
 use gnnone_kernels::registry;
-use gnnone_kernels::traits::SpmmKernel;
+use gnnone_kernels::traits::{Kernel, SpmmKernel};
 
 fn main() -> std::process::ExitCode {
     gnnone_bench::figure_main("ext_spmm_extras", run)
@@ -39,7 +39,7 @@ fn run() -> Result<(), gnnone_sim::GnnOneError> {
             ));
             let cells = std::iter::once(gnnone)
                 .chain(registry::spmm_discussion_kernels(&ld.graph))
-                .map(|k| runner::run_spmm_guarded(&backend, k.as_ref(), &ld, dim, &mut guard))
+                .map(|k| runner::run_guarded(&backend, &Kernel::Spmm(k), &ld, dim, &mut guard))
                 .collect();
             table.push_row(spec.id, cells);
         }

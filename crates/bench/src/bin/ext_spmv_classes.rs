@@ -7,6 +7,7 @@
 use gnnone_bench::report::Table;
 use gnnone_bench::{cli, profiling, report, runner};
 use gnnone_kernels::registry;
+use gnnone_kernels::traits::Kernel;
 
 fn main() -> std::process::ExitCode {
     gnnone_bench::figure_main("ext_spmv_classes", run)
@@ -26,8 +27,8 @@ fn run() -> Result<(), gnnone_sim::GnnOneError> {
     for spec in runner::selected_specs(&opts) {
         let ld = runner::load(&spec, opts.scale);
         let cells = registry::spmv_class_kernels(&ld.graph)
-            .iter()
-            .map(|k| runner::run_spmv_guarded(&backend, k.as_ref(), &ld, &mut guard))
+            .into_iter()
+            .map(|k| runner::run_guarded(&backend, &Kernel::Spmv(k), &ld, 1, &mut guard))
             .collect();
         table.push_row(spec.id, cells);
     }

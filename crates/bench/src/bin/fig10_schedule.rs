@@ -11,6 +11,7 @@ use std::sync::Arc;
 use gnnone_bench::report::Table;
 use gnnone_bench::{cli, profiling, report, runner};
 use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneSpmm, Schedule};
+use gnnone_kernels::traits::Kernel;
 
 fn main() -> std::process::ExitCode {
     gnnone_bench::figure_main("fig10_schedule", run)
@@ -38,14 +39,14 @@ fn run() -> Result<(), gnnone_sim::GnnOneError> {
             let cells = [Schedule::Consecutive, Schedule::RoundRobin]
                 .iter()
                 .map(|&schedule| {
-                    let k = GnnOneSpmm::new(
+                    let k = Kernel::Spmm(Box::new(GnnOneSpmm::new(
                         Arc::clone(&ld.graph),
                         GnnOneConfig {
                             schedule,
                             ..Default::default()
                         },
-                    );
-                    runner::run_spmm_guarded(&backend, &k, &ld, dim, &mut guard)
+                    )));
+                    runner::run_guarded(&backend, &k, &ld, dim, &mut guard)
                 })
                 .collect();
             table.push_row(spec.id, cells);

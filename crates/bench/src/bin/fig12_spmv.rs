@@ -14,6 +14,7 @@ use std::process::ExitCode;
 use gnnone_bench::report::Table;
 use gnnone_bench::{cli, io_error, profiling, report, runner};
 use gnnone_kernels::registry;
+use gnnone_kernels::traits::{Kernel, Op};
 use gnnone_sim::GnnOneError;
 
 fn main() -> ExitCode {
@@ -30,14 +31,15 @@ fn run() -> Result<(), GnnOneError> {
     for spec in runner::selected_specs(&opts) {
         let ld = runner::load(&spec, opts.scale);
         let sharded = match opts.shards {
-            Some(k) => Some(runner::sharded_executor(&opts, &ld, k)?),
+            Some(k) => Some(runner::sharded_executor(&opts, &ld, k, guard.policy())?),
             None => None,
         };
         let cells = registry::spmv_kernels(&ld.graph)
-            .iter()
+            .into_iter()
+            .map(Kernel::Spmv)
             .map(|k| match &sharded {
-                Some(exec) => runner::run_spmv_sharded(&mut guard, exec, k.name(), &ld),
-                None => runner::run_spmv_guarded(&backend, k.as_ref(), &ld, &mut guard),
+                Some(exec) => runner::run_sharded(&mut guard, exec, Op::Spmv, k.name(), &ld, 1),
+                None => runner::run_guarded(&backend, &k, &ld, 1, &mut guard),
             })
             .collect();
         table.push_row(spec.id, cells);

@@ -11,6 +11,7 @@ use std::process::ExitCode;
 use gnnone_bench::report::{Cell, Table};
 use gnnone_bench::{cli, io_error, profiling, report, runner, SDDMM_VERTEX_ERROR_THRESHOLD};
 use gnnone_kernels::registry;
+use gnnone_kernels::traits::{Kernel, Op};
 use gnnone_sim::GnnOneError;
 
 fn main() -> ExitCode {
@@ -41,11 +42,14 @@ fn run() -> Result<(), GnnOneError> {
         for spec in &specs {
             let ld = runner::load(spec, opts.scale);
             let sharded = match opts.shards {
-                Some(k) => Some(runner::sharded_executor(&opts, &ld, k)?),
+                Some(k) => Some(runner::sharded_executor(&opts, &ld, k, guard.policy())?),
                 None => None,
             };
             let mut cells = Vec::new();
-            for kernel in registry::sddmm_kernels(&ld.graph) {
+            for kernel in registry::sddmm_kernels(&ld.graph)
+                .into_iter()
+                .map(Kernel::Sddmm)
+            {
                 // Sputnik's |V|²-shaped grid and cuSPARSE's workspace
                 // indexing overflow at the *paper's* vertex counts (§5.1);
                 // the analogue may be small enough to slip under the same
@@ -55,9 +59,9 @@ fn run() -> Result<(), GnnOneError> {
                 let cell = if fails_at_paper_scale {
                     Cell::Err("ERR".into())
                 } else if let Some(exec) = &sharded {
-                    runner::run_sddmm_sharded(&mut guard, exec, kernel.name(), &ld, dim)
+                    runner::run_sharded(&mut guard, exec, Op::Sddmm, kernel.name(), &ld, dim)
                 } else {
-                    runner::run_sddmm_guarded(&backend, kernel.as_ref(), &ld, dim, &mut guard)
+                    runner::run_guarded(&backend, &kernel, &ld, dim, &mut guard)
                 };
                 cells.push(cell);
             }

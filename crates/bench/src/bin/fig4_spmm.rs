@@ -11,6 +11,7 @@ use std::process::ExitCode;
 use gnnone_bench::report::Table;
 use gnnone_bench::{cli, io_error, profiling, report, runner};
 use gnnone_kernels::registry;
+use gnnone_kernels::traits::{Kernel, Op};
 use gnnone_sim::GnnOneError;
 
 fn main() -> ExitCode {
@@ -41,14 +42,17 @@ fn run() -> Result<(), GnnOneError> {
         for spec in &specs {
             let ld = runner::load(spec, opts.scale);
             let sharded = match opts.shards {
-                Some(k) => Some(runner::sharded_executor(&opts, &ld, k)?),
+                Some(k) => Some(runner::sharded_executor(&opts, &ld, k, guard.policy())?),
                 None => None,
             };
             let cells = registry::spmm_kernels(&ld.graph)
-                .iter()
+                .into_iter()
+                .map(Kernel::Spmm)
                 .map(|k| match &sharded {
-                    Some(exec) => runner::run_spmm_sharded(&mut guard, exec, k.name(), &ld, dim),
-                    None => runner::run_spmm_guarded(&backend, k.as_ref(), &ld, dim, &mut guard),
+                    Some(exec) => {
+                        runner::run_sharded(&mut guard, exec, Op::Spmm, k.name(), &ld, dim)
+                    }
+                    None => runner::run_guarded(&backend, &k, &ld, dim, &mut guard),
                 })
                 .collect();
             table.push_row(spec.id, cells);

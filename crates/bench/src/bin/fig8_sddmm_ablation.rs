@@ -9,6 +9,7 @@
 use gnnone_bench::report::Table;
 use gnnone_bench::{cli, profiling, report, runner};
 use gnnone_kernels::registry;
+use gnnone_kernels::traits::Kernel;
 
 fn main() -> std::process::ExitCode {
     gnnone_bench::figure_main("fig8_sddmm_ablation", run)
@@ -34,8 +35,9 @@ fn run() -> Result<(), gnnone_sim::GnnOneError> {
         for spec in runner::selected_specs(&opts) {
             let ld = runner::load(&spec, opts.scale);
             let cells = registry::sddmm_ablation_kernels(&ld.graph)
-                .iter()
-                .map(|(_, k)| runner::run_sddmm_guarded(&backend, k, &ld, dim, &mut guard))
+                .into_iter()
+                .map(|(_, k)| Kernel::Sddmm(Box::new(k)))
+                .map(|k| runner::run_guarded(&backend, &k, &ld, dim, &mut guard))
                 .collect();
             table.push_row(spec.id, cells);
         }

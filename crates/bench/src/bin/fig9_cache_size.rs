@@ -15,6 +15,7 @@ use std::sync::Arc;
 use gnnone_bench::report::Table;
 use gnnone_bench::{cli, figure_gpu_spec, report, runner};
 use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneSpmm};
+use gnnone_kernels::traits::Kernel;
 use gnnone_sim::{MetricsRegistry, MetricsSnapshot, TraceConfig, TraceSession};
 
 /// `results/m.json` → `results/m.cache128.json`.
@@ -82,14 +83,14 @@ fn run() -> Result<(), gnnone_sim::GnnOneError> {
             let cells = [(128usize, &backend128), (32, &backend32)]
                 .iter()
                 .map(|&(cache, backend)| {
-                    let k = GnnOneSpmm::new(
+                    let k = Kernel::Spmm(Box::new(GnnOneSpmm::new(
                         Arc::clone(&ld.graph),
                         GnnOneConfig {
                             cache_size: cache,
                             ..Default::default()
                         },
-                    );
-                    runner::run_spmm_guarded(backend, &k, &ld, dim, &mut guard)
+                    )));
+                    runner::run_guarded(backend, &k, &ld, dim, &mut guard)
                 })
                 .collect();
             table.push_row(spec.id, cells);

@@ -29,12 +29,14 @@
 
 use std::sync::Arc;
 
+use gnnone_kernels::backend::Device;
 use gnnone_kernels::gnnone::fused::fused_gat_reference;
 use gnnone_kernels::graph::GraphData;
-use gnnone_kernels::registry;
+use gnnone_kernels::registry::{self, SweepInputs};
+use gnnone_kernels::traits::{Kernel, Op};
 use gnnone_sim::engine::LaunchError;
 use gnnone_sim::jsonio::Json;
-use gnnone_sim::{ChaosConfig, DeviceBuffer, FaultKind, Gpu, SanitizeConfig, Verdict};
+use gnnone_sim::{ChaosConfig, DeviceBuffer, FaultKind, GnnOneError, Gpu, SanitizeConfig, Verdict};
 use gnnone_sparse::datasets::{Dataset, Scale};
 use gnnone_sparse::reference;
 
@@ -288,34 +290,65 @@ fn column_tag(fault: FaultKind) -> &'static str {
     }
 }
 
-/// Integer-valued pseudo-features: every value is a small integer, so all
+/// Integer-valued sweep inputs: every value is a small integer, so all
 /// products and partial sums stay exact in `f32` (far below 2^24) and any
 /// reduction order yields bit-identical results — the property the
-/// schedule-determinism check rests on.
-fn int_features(n: usize, modulus: usize, offset: f32) -> Vec<f32> {
-    (0..n).map(|i| (i % modulus) as f32 - offset).collect()
+/// schedule-determinism check and the bitwise shard sweep rest on.
+pub(crate) fn int_inputs(graph: &GraphData, f: usize) -> SweepInputs<Vec<f32>> {
+    let int_features = |n: usize, modulus: usize, offset: f32| -> Vec<f32> {
+        (0..n).map(|i| (i % modulus) as f32 - offset).collect()
+    };
+    let nv = graph.num_vertices();
+    SweepInputs {
+        x: int_features(nv * f, 7, 3.0),
+        z: int_features(nv * f, 5, 2.0),
+        w: (0..graph.nnz()).map(|e| ((e % 4) + 1) as f32).collect(),
+        el: int_features(nv, 3, 1.0),
+        er: int_features(nv, 9, 4.0),
+    }
 }
 
-/// A boxed launch closure: run the kernel on the given device, returning
-/// its cycle count or a structured decline.
-type LaunchFn<'a> = Box<dyn Fn(&Gpu) -> Result<u64, LaunchError> + 'a>;
+/// One kernel under test: its output buffers and what the CPU reference
+/// says the first output must be.
+struct Probe {
+    kernel: Kernel,
+    outputs: Vec<DeviceBuffer<f32>>,
+    expected: Vec<f32>,
+}
 
-/// One kernel under test: how to run it, where its output lands, and what
-/// the CPU reference says that output must be.
-struct Probe<'a> {
-    name: String,
-    out: &'a DeviceBuffer<f32>,
-    expected: Arc<Vec<f32>>,
-    /// In the schedule-determinism pass? (Everything but the fused kernel,
-    /// whose exponentials are not exact arithmetic.)
-    schedule_checked: bool,
-    run: LaunchFn<'a>,
+impl Probe {
+    /// Zeroes the outputs and launches on `gpu`, returning the cycle count
+    /// or a structured decline.
+    fn run(
+        &self,
+        gpu: &Gpu,
+        inputs: &SweepInputs<DeviceBuffer<f32>>,
+        f: usize,
+    ) -> Result<u64, LaunchError> {
+        for out in &self.outputs {
+            out.fill_default();
+        }
+        let outputs: Vec<_> = self.outputs.iter().collect();
+        self.kernel
+            .launch(
+                Device::Sim(gpu),
+                &inputs.for_op(self.kernel.op()),
+                f,
+                &outputs,
+            )
+            .map(|r| r.cycles.unwrap_or_default())
+    }
+
+    fn out(&self) -> Vec<f32> {
+        self.outputs[0].to_vec()
+    }
 }
 
 /// Runs the full chaos sweep: every registry kernel × the full fault
 /// lattice, plus the schedule-determinism pass. Never panics — every
-/// launch is individually isolated.
-pub fn run_chaos(opts: &ChaosOpts) -> Result<ChaosReport, String> {
+/// launch is individually isolated. An unknown dataset id or `--kernels`
+/// name is a typed configuration error.
+pub fn run_chaos(opts: &ChaosOpts) -> Result<ChaosReport, GnnOneError> {
     let mut report = ChaosReport {
         seed: opts.seed,
         f: opts.f,
@@ -324,111 +357,56 @@ pub fn run_chaos(opts: &ChaosOpts) -> Result<ChaosReport, String> {
         schedule: Vec::new(),
     };
     for id in &opts.dataset_ids {
-        let ds = Dataset::try_by_id(id, Scale::Tiny).map_err(|e| e.to_string())?;
+        let ds = Dataset::try_by_id(id, Scale::Tiny)?;
         report.datasets.push(ds.spec.id.to_string());
-        sweep_dataset(&ds, opts, &mut report);
+        sweep_dataset(&ds, opts, &mut report)?;
     }
     Ok(report)
 }
 
-fn sweep_dataset(ds: &Dataset, opts: &ChaosOpts, report: &mut ChaosReport) {
+fn sweep_dataset(
+    ds: &Dataset,
+    opts: &ChaosOpts,
+    report: &mut ChaosReport,
+) -> Result<(), GnnOneError> {
     let graph = Arc::new(GraphData::new(ds.coo.clone()));
-    let nv = graph.num_vertices();
-    let nnz = graph.nnz();
+    registry::check_filter(&graph, &opts.kernels)?;
     let f = opts.f;
 
-    let xh = int_features(nv * f, 7, 3.0);
-    let zh = int_features(nv * f, 5, 2.0);
-    let wh: Vec<f32> = (0..nnz).map(|e| ((e % 4) + 1) as f32).collect();
-    let elh = int_features(nv, 3, 1.0);
-    let erh = int_features(nv, 9, 4.0);
-
-    let dx = &DeviceBuffer::from_slice(&xh);
-    let dz = &DeviceBuffer::from_slice(&zh);
-    let dw = &DeviceBuffer::from_slice(&wh);
-    let del = &DeviceBuffer::from_slice(&elh);
-    let der = &DeviceBuffer::from_slice(&erh);
-    let dy = &DeviceBuffer::<f32>::zeros(nv * f);
-    let dwe = &DeviceBuffer::<f32>::zeros(nnz);
-    let dyv = &DeviceBuffer::<f32>::zeros(nv);
-    let dalpha = &DeviceBuffer::<f32>::zeros(nnz);
-    let outputs = [dy, dwe, dyv, dalpha];
-
-    let sddmm_ref = Arc::new(reference::sddmm_coo(&ds.coo, &xh, &zh, f));
-    let spmm_ref = Arc::new(reference::spmm_csr(&ds.csr, &wh, &xh, f));
-    let spmv_ref = Arc::new(reference::spmv_csr(&ds.csr, &wh, &elh));
-    let fused_ref = Arc::new(fused_gat_reference(&graph, &zh, &elh, &erh, f, 0.2).0);
-    let uaddv_ref = Arc::new(reference::u_add_v_coo(&ds.coo, &elh, &erh));
-
-    let mut probes: Vec<Probe> = Vec::new();
-    for k in registry::sddmm_kernels(&graph) {
-        probes.push(Probe {
-            name: k.name().to_string(),
-            out: dwe,
-            expected: Arc::clone(&sddmm_ref),
-            schedule_checked: true,
-            run: Box::new(move |gpu| k.run(gpu, dx, dz, f, dwe).map(|r| r.cycles)),
-        });
-    }
-    for k in registry::spmm_kernels(&graph)
+    let host = int_inputs(&graph, f);
+    let inputs = host.upload();
+    let probes: Vec<Probe> = registry::all(&graph)
         .into_iter()
-        .chain(registry::spmm_discussion_kernels(&graph))
-        .chain(registry::spmm_format_kernels(&graph))
-    {
-        probes.push(Probe {
-            name: k.name().to_string(),
-            out: dy,
-            expected: Arc::clone(&spmm_ref),
-            schedule_checked: true,
-            run: Box::new(move |gpu| k.run(gpu, dw, dx, f, dy).map(|r| r.cycles)),
-        });
-    }
-    for k in registry::spmv_class_kernels(&graph) {
-        probes.push(Probe {
-            name: k.name().to_string(),
-            out: dyv,
-            expected: Arc::clone(&spmv_ref),
-            schedule_checked: true,
-            run: Box::new(move |gpu| k.run(gpu, dw, del, dyv).map(|r| r.cycles)),
-        });
-    }
-    for k in registry::fused_kernels(&graph) {
-        probes.push(Probe {
-            name: k.name().to_string(),
-            out: dy,
-            expected: Arc::clone(&fused_ref),
-            schedule_checked: false,
-            run: Box::new(move |gpu| {
-                k.run(gpu, dz, del, der, f, dy, Some(dalpha))
-                    .map(|r| r.cycles)
-            }),
-        });
-    }
-    for k in registry::edge_apply_kernels(&graph) {
-        probes.push(Probe {
-            name: k.name().to_string(),
-            out: dwe,
-            expected: Arc::clone(&uaddv_ref),
-            schedule_checked: true,
-            run: Box::new(move |gpu| k.run(gpu, del, der, dwe).map(|r| r.cycles)),
-        });
-    }
-
-    probes.retain(|p| kernel_selected(&opts.kernels, &p.name));
+        .filter(|k| kernel_selected(&opts.kernels, k.name()))
+        .map(|kernel| {
+            let h = &host;
+            let expected = match kernel.op() {
+                Op::Sddmm => reference::sddmm_coo(&ds.coo, &h.x, &h.z, f),
+                Op::Spmm => reference::spmm_csr(&ds.csr, &h.w, &h.x, f),
+                Op::Spmv => reference::spmv_csr(&ds.csr, &h.w, &h.el),
+                Op::EdgeApply => reference::u_add_v_coo(&ds.coo, &h.el, &h.er),
+                Op::Fused => fused_gat_reference(&graph, &h.z, &h.el, &h.er, f, 0.2).0,
+            };
+            let outputs = kernel.output_lens(f).map(DeviceBuffer::zeros).collect();
+            Probe {
+                kernel,
+                outputs,
+                expected,
+            }
+        })
+        .collect();
 
     let dataset = ds.spec.id.to_string();
 
     // --- fault lattice ---------------------------------------------------
     for probe in &probes {
         for fault in FaultKind::lattice() {
-            for b in &outputs {
-                b.fill_default();
-            }
             let gpu = Gpu::new(crate::figure_gpu_spec());
             let san = gpu.enable_sanitizer(SanitizeConfig::on());
             let chaos = gpu.enable_chaos(ChaosConfig::fault(fault, opts.seed));
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (probe.run)(&gpu)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                probe.run(&gpu, &inputs, f)
+            }));
             let injected = chaos.injections() > 0;
             let findings = san.finding_count();
             let (verdict, detail) = if findings > 0 {
@@ -451,7 +429,7 @@ fn sweep_dataset(ds: &Dataset, opts: &ChaosOpts, report: &mut ChaosReport) {
                         (Verdict::NotInjected, "fault never fired".to_string())
                     }
                     Ok(Ok(_)) => {
-                        let err = reference::max_rel_error(&probe.out.to_vec(), &probe.expected);
+                        let err = reference::max_rel_error(&probe.out(), &probe.expected);
                         if err <= MASKED_REL_TOL {
                             (Verdict::Masked, format!("max rel err {err:.3e}"))
                         } else {
@@ -466,7 +444,7 @@ fn sweep_dataset(ds: &Dataset, opts: &ChaosOpts, report: &mut ChaosReport) {
                 }
             };
             report.cells.push(ChaosCell {
-                kernel: probe.name.clone(),
+                kernel: probe.kernel.name().to_string(),
                 dataset: dataset.clone(),
                 fault,
                 seed: opts.seed,
@@ -477,13 +455,12 @@ fn sweep_dataset(ds: &Dataset, opts: &ChaosOpts, report: &mut ChaosReport) {
     }
 
     // --- schedule determinism --------------------------------------------
-    for probe in probes.iter().filter(|p| p.schedule_checked) {
-        for b in &outputs {
-            b.fill_default();
-        }
+    // Everything but the fused kernel, whose exponentials are not exact
+    // arithmetic.
+    for probe in probes.iter().filter(|p| p.kernel.op() != Op::Fused) {
         let gpu = Gpu::new(crate::figure_gpu_spec());
-        let canonical = (probe.run)(&gpu);
-        let canonical_bits: Vec<u32> = probe.out.to_vec().iter().map(|v| v.to_bits()).collect();
+        let canonical = probe.run(&gpu, &inputs, f);
+        let canonical_bits: Vec<u32> = probe.out().iter().map(|v| v.to_bits()).collect();
         let mut identical = true;
         let mut detail = String::new();
         let canonical_cycles = match canonical {
@@ -497,15 +474,11 @@ fn sweep_dataset(ds: &Dataset, opts: &ChaosOpts, report: &mut ChaosReport) {
         if identical {
             for s in 1..=opts.schedule_seeds as u64 {
                 let seed = opts.seed.wrapping_add(s);
-                for b in &outputs {
-                    b.fill_default();
-                }
                 let gpu = Gpu::new(crate::figure_gpu_spec());
                 gpu.enable_chaos(ChaosConfig::schedule(seed));
-                match (probe.run)(&gpu) {
+                match probe.run(&gpu, &inputs, f) {
                     Ok(cycles) => {
-                        let bits: Vec<u32> =
-                            probe.out.to_vec().iter().map(|v| v.to_bits()).collect();
+                        let bits: Vec<u32> = probe.out().iter().map(|v| v.to_bits()).collect();
                         if bits != canonical_bits {
                             identical = false;
                             detail = format!("output bits diverged under schedule seed {seed}");
@@ -529,13 +502,14 @@ fn sweep_dataset(ds: &Dataset, opts: &ChaosOpts, report: &mut ChaosReport) {
             }
         }
         report.schedule.push(ScheduleCheck {
-            kernel: probe.name.clone(),
+            kernel: probe.kernel.name().to_string(),
             dataset: dataset.clone(),
             seeds_checked: opts.schedule_seeds,
             identical,
             detail,
         });
     }
+    Ok(())
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -597,6 +571,18 @@ mod tests {
             .schedule
             .iter()
             .all(|s| s.kernel.eq_ignore_ascii_case("GnnOne")));
+    }
+
+    #[test]
+    fn unknown_kernel_filter_is_a_config_error() {
+        let opts = ChaosOpts {
+            kernels: vec!["NoSuchKernel".to_string()],
+            schedule_seeds: 1,
+            ..Default::default()
+        };
+        let err = run_chaos(&opts).unwrap_err();
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("NoSuchKernel"), "{err}");
     }
 
     #[test]

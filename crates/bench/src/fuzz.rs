@@ -18,8 +18,9 @@
 
 use std::sync::Arc;
 
+use gnnone_kernels::backend::Device;
 use gnnone_kernels::graph::GraphData;
-use gnnone_kernels::registry;
+use gnnone_kernels::registry::{self, SweepInputs};
 use gnnone_sim::engine::LaunchError;
 use gnnone_sim::jsonio::Json;
 use gnnone_sim::{DeviceBuffer, Gpu, SanitizeConfig, Sanitizer};
@@ -270,25 +271,32 @@ fn drive_all_kernels(
         None
     };
     let nv = graph.num_vertices();
-    let nnz = graph.nnz();
     let mut rev = features.to_vec();
     rev.reverse();
-    let dx = DeviceBuffer::from_slice(features);
-    let dz = DeviceBuffer::from_slice(&rev);
-    let dw = DeviceBuffer::from_slice(&filler(nnz, 3));
-    let del = DeviceBuffer::from_slice(&filler(nv, 4));
-    let der = DeviceBuffer::from_slice(&filler(nv, 5));
-    let dy = DeviceBuffer::<f32>::zeros(nv * f);
-    let dwe = DeviceBuffer::<f32>::zeros(nnz);
-    let dyv = DeviceBuffer::<f32>::zeros(nv);
-    let dalpha = DeviceBuffer::<f32>::zeros(nnz);
+    let inputs = SweepInputs {
+        x: features.to_vec(),
+        z: rev,
+        w: filler(graph.nnz(), 3),
+        el: filler(nv, 4),
+        er: filler(nv, 5),
+    }
+    .upload();
 
-    let mut drive = |name: &str, run: &mut dyn FnMut() -> Result<(), LaunchError>| {
+    for k in registry::all(graph) {
+        let name = k.name();
         report.kernels_driven += 1;
+        let outputs: Vec<DeviceBuffer<f32>> = k.output_lens(f).map(DeviceBuffer::zeros).collect();
         let before = san.as_ref().map_or(0, |s| s.finding_count());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut *run));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            k.launch(
+                Device::Sim(&gpu),
+                &inputs.for_op(k.op()),
+                f,
+                &outputs.iter().collect::<Vec<_>>(),
+            )
+        }));
         match outcome {
-            Ok(Ok(())) => {
+            Ok(Ok(_)) => {
                 let delta = san.as_ref().map_or(0, |s| s.finding_count()) - before;
                 if delta > 0 {
                     report.findings.push(FuzzFinding {
@@ -325,32 +333,6 @@ fn drive_all_kernels(
                 });
             }
         }
-    };
-
-    for k in registry::sddmm_kernels(graph) {
-        drive(k.name(), &mut || k.run(&gpu, &dx, &dz, f, &dwe).map(drop));
-    }
-    for k in registry::spmm_kernels(graph)
-        .into_iter()
-        .chain(registry::spmm_discussion_kernels(graph))
-        .chain(registry::spmm_format_kernels(graph))
-    {
-        dy.fill_default();
-        drive(k.name(), &mut || k.run(&gpu, &dw, &dx, f, &dy).map(drop));
-    }
-    for k in registry::spmv_class_kernels(graph) {
-        dyv.fill_default();
-        drive(k.name(), &mut || k.run(&gpu, &dw, &del, &dyv).map(drop));
-    }
-    for k in registry::fused_kernels(graph) {
-        dy.fill_default();
-        drive(k.name(), &mut || {
-            k.run(&gpu, &dz, &del, &der, f, &dy, Some(&dalpha))
-                .map(drop)
-        });
-    }
-    for k in registry::edge_apply_kernels(graph) {
-        drive(k.name(), &mut || k.run(&gpu, &del, &der, &dwe).map(drop));
     }
 }
 

@@ -15,9 +15,10 @@ use gnnone_kernels::backend::{Backend, NativeEngine};
 use gnnone_kernels::registry;
 use gnnone_sim::engine::LaunchError;
 use gnnone_sim::jsonio::Json;
-use gnnone_sim::DeviceBuffer;
+use gnnone_sim::{DeviceBuffer, GnnOneError};
 use gnnone_sparse::datasets::Scale;
 
+use crate::chaos::kernel_selected;
 use crate::cli::Options;
 use crate::runner::{self, LoadedDataset};
 
@@ -37,8 +38,8 @@ pub struct NativeBenchOpts {
     pub warmup: usize,
     /// Timed runs per cell (best/median are taken over these).
     pub repeats: usize,
-    /// Kernel-name filter (case-insensitive, validated against the
-    /// registry `*_by_name` lookups); empty = every registry kernel.
+    /// Kernel-name filter (case-insensitive, validated by
+    /// [`registry::check_filter`]); empty = every registry kernel.
     pub kernels: Vec<String>,
 }
 
@@ -203,144 +204,50 @@ fn sweep_dataset(
     entries: &mut Vec<NativeBenchEntry>,
 ) -> Result<(), LaunchError> {
     let graph = &ld.graph;
-    let n = graph.num_vertices();
-    let nnz = graph.nnz();
     let f = opts.f;
-    let id = ld.spec.id.to_string();
-
-    let selected = |name: &str| {
-        opts.kernels.is_empty() || opts.kernels.iter().any(|k| k.eq_ignore_ascii_case(name))
-    };
-
-    let mut push = |name: &str, op: &'static str, format: &str, stats: (f64, f64, f64)| {
+    for k in registry::all(graph) {
+        if !kernel_selected(&opts.kernels, k.name()) {
+            continue;
+        }
+        // Operand seeds match the figure runners so a bench cell and a
+        // figure cell describe the same launch.
+        let inputs: Vec<DeviceBuffer<f32>> = runner::seeded_inputs(k.op(), graph, f)
+            .iter()
+            .map(|h| DeviceBuffer::from_slice(h))
+            .collect();
+        let inputs: Vec<&DeviceBuffer<f32>> = inputs.iter().collect();
+        // Only the required output: the fused kernel's α is not requested.
+        let out_len = k.output_lens(f).next().expect("every kernel has an output");
+        let (best_ms, median_ms, edges_per_sec) = time_cell(opts, graph.nnz(), || {
+            let out = DeviceBuffer::<f32>::zeros(out_len);
+            k.launch(backend.device(), &inputs, f, &[&out])
+                .map(|r| r.time_ms)
+        })?;
         entries.push(NativeBenchEntry {
-            name: name.to_string(),
-            op,
-            format: format.to_string(),
-            dataset: id.clone(),
-            best_ms: stats.0,
-            median_ms: stats.1,
-            edges_per_sec: stats.2,
+            name: k.name().to_string(),
+            op: k.op().as_str(),
+            format: k.format().to_string(),
+            dataset: ld.spec.id.to_string(),
+            best_ms,
+            median_ms,
+            edges_per_sec,
         });
-    };
-
-    // Operand seeds match the figure runners so a bench cell and a figure
-    // cell describe the same launch.
-    let x_sddmm = DeviceBuffer::from_slice(&runner::vertex_features(n, f, 11));
-    let y_sddmm = DeviceBuffer::from_slice(&runner::vertex_features(n, f, 13));
-    for k in registry::sddmm_kernels(graph) {
-        if !selected(k.name()) {
-            continue;
-        }
-        let stats = time_cell(opts, nnz, || {
-            let w = DeviceBuffer::<f32>::zeros(nnz);
-            backend
-                .run_sddmm(k.as_ref(), &x_sddmm, &y_sddmm, f, &w)
-                .map(|r| r.time_ms)
-        })?;
-        push(k.name(), "sddmm", k.format(), stats);
-    }
-
-    let x_spmm = DeviceBuffer::from_slice(&runner::vertex_features(n, f, 17));
-    let w_spmm = DeviceBuffer::from_slice(&runner::edge_values(nnz, 19));
-    for k in registry::spmm_kernels(graph)
-        .into_iter()
-        .chain(registry::spmm_discussion_kernels(graph))
-        .chain(registry::spmm_format_kernels(graph))
-    {
-        if !selected(k.name()) {
-            continue;
-        }
-        let stats = time_cell(opts, nnz, || {
-            let y = DeviceBuffer::<f32>::zeros(n * f);
-            backend
-                .run_spmm(k.as_ref(), &w_spmm, &x_spmm, f, &y)
-                .map(|r| r.time_ms)
-        })?;
-        push(k.name(), "spmm", k.format(), stats);
-    }
-
-    let x_spmv = DeviceBuffer::from_slice(&runner::vertex_features(n, 1, 23));
-    let w_spmv = DeviceBuffer::from_slice(&runner::edge_values(nnz, 29));
-    for k in registry::spmv_class_kernels(graph) {
-        if !selected(k.name()) {
-            continue;
-        }
-        let stats = time_cell(opts, nnz, || {
-            let y = DeviceBuffer::<f32>::zeros(n);
-            backend
-                .run_spmv(k.as_ref(), &w_spmv, &x_spmv, &y)
-                .map(|r| r.time_ms)
-        })?;
-        push(k.name(), "spmv", k.format(), stats);
-    }
-
-    let el = DeviceBuffer::from_slice(&runner::vertex_features(n, 1, 43));
-    let er = DeviceBuffer::from_slice(&runner::vertex_features(n, 1, 47));
-    for k in registry::edge_apply_kernels(graph) {
-        if !selected(k.name()) {
-            continue;
-        }
-        let stats = time_cell(opts, nnz, || {
-            let w = DeviceBuffer::<f32>::zeros(nnz);
-            backend
-                .run_edge_apply(k.as_ref(), &el, &er, &w)
-                .map(|r| r.time_ms)
-        })?;
-        push(k.name(), "edge_apply", k.format(), stats);
-    }
-
-    let z = DeviceBuffer::from_slice(&runner::vertex_features(n, f, 41));
-    for k in registry::fused_kernels(graph) {
-        if !selected(k.name()) {
-            continue;
-        }
-        let stats = time_cell(opts, nnz, || {
-            let y = DeviceBuffer::<f32>::zeros(n * f);
-            backend
-                .run_fused(k.as_ref(), &z, &el, &er, f, &y, None)
-                .map(|r| r.time_ms)
-        })?;
-        push(k.name(), "fused", k.format(), stats);
-    }
-
-    Ok(())
-}
-
-/// Checks every requested kernel name against the registry's `*_by_name`
-/// lookups (SpMV classes have no lookup; their names are matched against
-/// the class list directly) so a typo fails fast instead of silently
-/// producing an empty sweep.
-fn validate_kernel_filter(
-    graph: &std::sync::Arc<gnnone_kernels::graph::GraphData>,
-    names: &[String],
-) -> Result<(), String> {
-    for name in names {
-        let known = registry::sddmm_by_name(graph, name).is_some()
-            || registry::spmm_by_name(graph, name).is_some()
-            || registry::edge_apply_by_name(graph, name).is_some()
-            || registry::fused_by_name(graph, name).is_some()
-            || registry::spmv_class_kernels(graph)
-                .iter()
-                .any(|k| k.name().eq_ignore_ascii_case(name));
-        if !known {
-            return Err(format!("unknown kernel name in --kernels: {name}"));
-        }
     }
     Ok(())
 }
 
 /// Runs the full native sweep: every registry kernel on every selected
 /// dataset under the warmup/repeat policy.
-pub fn run_native_bench(opts: &NativeBenchOpts) -> Result<NativeBenchReport, String> {
+pub fn run_native_bench(opts: &NativeBenchOpts) -> Result<NativeBenchReport, GnnOneError> {
     let cli = Options {
         datasets: opts.dataset_ids.clone(),
         scale: opts.scale,
         ..Default::default()
     };
-    let specs = runner::try_selected_specs(&cli)?;
+    let config = |detail| GnnOneError::Config { detail };
+    let specs = runner::try_selected_specs(&cli).map_err(config)?;
     let eng = match opts.threads {
-        Some(t) => NativeEngine::with_threads(t)?,
+        Some(t) => NativeEngine::with_threads(t).map_err(config)?,
         None => NativeEngine::new(),
     };
     let threads = eng.threads();
@@ -352,12 +259,11 @@ pub fn run_native_bench(opts: &NativeBenchOpts) -> Result<NativeBenchReport, Str
     for spec in &specs {
         let ld = runner::load(spec, opts.scale);
         if !filter_checked {
-            validate_kernel_filter(&ld.graph, &opts.kernels)?;
+            registry::check_filter(&ld.graph, &opts.kernels)?;
             filter_checked = true;
         }
         datasets.push((spec.id.to_string(), ld.graph.num_vertices(), ld.graph.nnz()));
-        sweep_dataset(&backend, opts, &ld, &mut entries)
-            .map_err(|e| format!("native sweep failed on {}: {e}", spec.id))?;
+        sweep_dataset(&backend, opts, &ld, &mut entries)?;
     }
 
     Ok(NativeBenchReport {
@@ -371,14 +277,17 @@ pub fn run_native_bench(opts: &NativeBenchOpts) -> Result<NativeBenchReport, Str
     })
 }
 
-/// Registry-wide kernel count the sweep must cover — guards the committed
-/// `BENCH_NATIVE.json` (and the CI `native-smoke` job) against silently
-/// dropping a family when the registry grows.
-pub const REGISTRY_KERNEL_COUNT: usize = 21;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnone_kernels::graph::GraphData;
+    use gnnone_sparse::datasets::Dataset;
+    use std::sync::Arc;
+
+    fn registry_len() -> usize {
+        let ds = Dataset::try_by_id("G0", Scale::Tiny).unwrap();
+        registry::all(&Arc::new(GraphData::new(ds.coo))).len()
+    }
 
     fn tiny_opts() -> NativeBenchOpts {
         NativeBenchOpts {
@@ -395,8 +304,8 @@ mod tests {
     #[test]
     fn sweep_covers_all_registry_kernels() {
         let report = run_native_bench(&tiny_opts()).unwrap();
-        assert_eq!(report.distinct_kernels(), REGISTRY_KERNEL_COUNT);
-        assert_eq!(report.entries.len(), REGISTRY_KERNEL_COUNT);
+        assert_eq!(report.distinct_kernels(), registry_len());
+        assert_eq!(report.entries.len(), registry_len());
         assert_eq!(report.threads, 2);
         for e in &report.entries {
             assert!(e.best_ms <= e.median_ms, "{}: best > median", e.name);
@@ -415,7 +324,7 @@ mod tests {
             assert!(json.get(key).is_some(), "missing {key}");
         }
         let kernels = json.get("kernels").and_then(Json::as_arr).unwrap();
-        assert_eq!(kernels.len(), REGISTRY_KERNEL_COUNT);
+        assert_eq!(kernels.len(), registry_len());
         for k in kernels {
             for key in [
                 "name",
@@ -451,7 +360,8 @@ mod tests {
             ..tiny_opts()
         };
         let err = run_native_bench(&opts).unwrap_err();
-        assert!(err.contains("NoSuchKernel"), "{err}");
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("NoSuchKernel"), "{err}");
     }
 
     #[test]
@@ -461,6 +371,7 @@ mod tests {
             ..tiny_opts()
         };
         let err = run_native_bench(&opts).unwrap_err();
-        assert!(err.contains("G99"), "{err}");
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("G99"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! Shared sweep machinery for the figure binaries.
 //!
-//! The guarded entry points ([`SweepGuard`] and the `run_*_guarded`
-//! functions) give every (kernel, dataset) cell crash isolation: a panic or
+//! The guarded entry points ([`SweepGuard`], [`run_guarded`] and
+//! [`run_sharded`]) give every (kernel, dataset) cell crash isolation: a panic or
 //! watchdog abort in one cell is caught, retried under a bounded
 //! deterministic policy (aborts can be transient under a tight budget),
 //! annotated with a CPU-reference fallback where one exists, and
@@ -14,8 +14,10 @@ use std::sync::Arc;
 
 use gnnone_kernels::backend::{Backend, BackendKind, NativeEngine};
 use gnnone_kernels::graph::GraphData;
+use gnnone_kernels::ir::Space;
 use gnnone_kernels::registry;
 use gnnone_kernels::shard::{RetryPolicy, ShardTopology, ShardedExecutor};
+use gnnone_kernels::traits::{Kernel, Op};
 use gnnone_sim::engine::LaunchError;
 use gnnone_sim::jsonio::Json;
 use gnnone_sim::{DeviceBuffer, GnnOneError, Gpu};
@@ -154,56 +156,6 @@ pub fn edge_values(nnz: usize, seed: u64) -> Vec<f32> {
     vertex_features(nnz, 1, seed ^ 0xeeee)
 }
 
-/// Runs one SDDMM system on a loaded dataset, returning a [`Cell`].
-pub fn run_sddmm(
-    backend: &Backend,
-    kernel: &dyn gnnone_kernels::traits::SddmmKernel,
-    ld: &LoadedDataset,
-    f: usize,
-) -> Cell {
-    let n = ld.graph.num_vertices();
-    let x = DeviceBuffer::from_slice(&vertex_features(n, f, 11));
-    let y = DeviceBuffer::from_slice(&vertex_features(n, f, 13));
-    let w = DeviceBuffer::<f32>::zeros(ld.graph.nnz());
-    match backend.run_sddmm(kernel, &x, &y, f, &w) {
-        Ok(report) => Cell::Ms(report.time_ms),
-        Err(e) => Cell::Err(short_error(&e)),
-    }
-}
-
-/// Runs one SpMM system on a loaded dataset.
-pub fn run_spmm(
-    backend: &Backend,
-    kernel: &dyn gnnone_kernels::traits::SpmmKernel,
-    ld: &LoadedDataset,
-    f: usize,
-) -> Cell {
-    let n = ld.graph.num_vertices();
-    let x = DeviceBuffer::from_slice(&vertex_features(n, f, 17));
-    let w = DeviceBuffer::from_slice(&edge_values(ld.graph.nnz(), 19));
-    let y = DeviceBuffer::<f32>::zeros(n * f);
-    match backend.run_spmm(kernel, &w, &x, f, &y) {
-        Ok(report) => Cell::Ms(report.time_ms),
-        Err(e) => Cell::Err(short_error(&e)),
-    }
-}
-
-/// Runs one SpMV system on a loaded dataset.
-pub fn run_spmv(
-    backend: &Backend,
-    kernel: &dyn gnnone_kernels::traits::SpmvKernel,
-    ld: &LoadedDataset,
-) -> Cell {
-    let n = ld.graph.num_vertices();
-    let x = DeviceBuffer::from_slice(&vertex_features(n, 1, 23));
-    let w = DeviceBuffer::from_slice(&edge_values(ld.graph.nnz(), 29));
-    let y = DeviceBuffer::<f32>::zeros(n);
-    match backend.run_spmv(kernel, &w, &x, &y) {
-        Ok(report) => Cell::Ms(report.time_ms),
-        Err(e) => Cell::Err(short_error(&e)),
-    }
-}
-
 /// Rejects `--shards` for figures without a sharded execution path.
 ///
 /// Only the kernel-sweep figures (fig3, fig4, fig12) route launches
@@ -236,95 +188,70 @@ pub fn shard_topology(opts: &Options, shards: usize) -> Result<ShardTopology, Gn
     }
 }
 
-/// Builds a supervised sharded executor over one loaded dataset, with the
-/// retry policy mirrored from the figure sweep guard defaults so a
-/// quarantined shard record reads the same as an unsharded one.
+/// Builds a supervised sharded executor over one loaded dataset, running
+/// under `policy` — pass the figure's [`SweepGuard::policy`] so a
+/// quarantined shard record reports the schedule the executor ran.
 pub fn sharded_executor(
     opts: &Options,
     ld: &LoadedDataset,
     shards: usize,
+    policy: RetryPolicy,
 ) -> Result<ShardedExecutor, GnnOneError> {
     let topo = shard_topology(opts, shards)?;
     let mut exec = ShardedExecutor::new(Arc::clone(&ld.graph), shards, topo)?;
-    exec.set_policy(RetryPolicy {
-        max_attempts: SweepGuard::DEFAULT_MAX_ATTEMPTS,
-        ..RetryPolicy::default()
-    });
+    exec.set_policy(policy);
     Ok(exec)
 }
 
-/// Runs one registry SDDMM system shard-by-shard (same feature seeds as
-/// [`run_sddmm`], so `--shards 1` is byte-identical to the unsharded
-/// sweep); failures quarantine with the shard id and retry schedule.
-pub fn run_sddmm_sharded(
+/// Operand seeds per family, in signature order: a figure cell, its
+/// sharded run and a native bench cell all describe the same launch.
+fn seeds(op: Op) -> &'static [u64] {
+    match op {
+        Op::Sddmm => &[11, 13],
+        Op::Spmm => &[19, 17],
+        Op::Spmv => &[29, 23],
+        Op::EdgeApply => &[43, 47],
+        Op::Fused => &[41, 43, 47],
+    }
+}
+
+/// Host inputs for one `op` launch over `graph`, in signature order:
+/// vertex operands from [`vertex_features`], edge operands from
+/// [`edge_values`], each with its family's seed.
+pub fn seeded_inputs(op: Op, graph: &GraphData, f: usize) -> Vec<Vec<f32>> {
+    op.signature()
+        .inputs
+        .iter()
+        .zip(seeds(op))
+        .map(|(&(space, dim), &seed)| match space {
+            Space::Vertex => vertex_features(graph.num_vertices(), dim.len(f), seed),
+            Space::Edge => edge_values(graph.nnz(), seed),
+        })
+        .collect()
+}
+
+/// Runs the registry's `op` kernel named `name` shard-by-shard — each
+/// shard builds its own instance with [`registry::by_name`], at the
+/// registry's config — on seeded inputs (the same as [`run_guarded`]'s,
+/// so `--shards 1` is byte-identical to the unsharded sweep); failures
+/// quarantine with the shard id and retry schedule.
+pub fn run_sharded(
     guard: &mut SweepGuard,
     exec: &ShardedExecutor,
+    op: Op,
     name: &str,
     ld: &LoadedDataset,
     f: usize,
 ) -> Cell {
-    let n = ld.graph.num_vertices();
-    let x = vertex_features(n, f, 11);
-    let y = vertex_features(n, f, 13);
-    match exec.run_sddmm(
-        &|g| expect_kernel(registry::sddmm_by_name(g, name), name),
-        &x,
-        &y,
-        f,
-    ) {
-        Ok((_, report)) => Cell::Ms(report.time_ms),
-        Err(e) => guard.quarantine_sharded(name, ld.spec.id, e),
-    }
-}
-
-/// Runs one registry SpMM system shard-by-shard (seeds match
-/// [`run_spmm`]).
-pub fn run_spmm_sharded(
-    guard: &mut SweepGuard,
-    exec: &ShardedExecutor,
-    name: &str,
-    ld: &LoadedDataset,
-    f: usize,
-) -> Cell {
-    let n = ld.graph.num_vertices();
-    let x = vertex_features(n, f, 17);
-    let w = edge_values(ld.graph.nnz(), 19);
-    match exec.run_spmm(
-        &|g| expect_kernel(registry::spmm_by_name(g, name), name),
-        &w,
-        &x,
-        f,
-    ) {
-        Ok((_, report)) => Cell::Ms(report.time_ms),
-        Err(e) => guard.quarantine_sharded(name, ld.spec.id, e),
-    }
-}
-
-/// Runs one registry SpMV system shard-by-shard (seeds match
-/// [`run_spmv`]).
-pub fn run_spmv_sharded(
-    guard: &mut SweepGuard,
-    exec: &ShardedExecutor,
-    name: &str,
-    ld: &LoadedDataset,
-) -> Cell {
-    let n = ld.graph.num_vertices();
-    let x = vertex_features(n, 1, 23);
-    let w = edge_values(ld.graph.nnz(), 29);
-    match exec.run_spmv(
-        &|g| expect_kernel(registry::spmv_by_name(g, name), name),
-        &w,
-        &x,
-    ) {
-        Ok((_, report)) => Cell::Ms(report.time_ms),
-        Err(e) => guard.quarantine_sharded(name, ld.spec.id, e),
-    }
-}
-
-fn expect_kernel<T>(found: Option<T>, name: &str) -> T {
-    match found {
+    let host = seeded_inputs(op, &ld.graph, f);
+    let inputs: Vec<&[f32]> = host.iter().map(Vec::as_slice).collect();
+    let make = |g: &Arc<GraphData>| match registry::by_name(g, op, name) {
         Some(k) => k,
-        None => panic!("registry has no kernel named {name:?}"),
+        None => panic!("registry has no {} kernel named {name:?}", op.as_str()),
+    };
+    match exec.run(&make, &inputs, f) {
+        Ok((_, report)) => Cell::Ms(report.time_ms),
+        Err(e) => guard.quarantine_sharded(name, ld.spec.id, e),
     }
 }
 
@@ -352,7 +279,7 @@ pub struct Quarantine {
     /// when this exceeds 1.
     pub attempts: u32,
     /// Backoff waits (milliseconds) applied between attempts, in order —
-    /// the deterministic `base << (attempt-1)` schedule as actually run.
+    /// the deterministic [`RetryPolicy::backoff_ms`] schedule as run.
     pub backoff_ms: Vec<u64>,
     /// Shard that exhausted its retries, when the failed cell was a
     /// sharded run; `None` for ordinary single-device cells.
@@ -429,8 +356,7 @@ impl std::fmt::Display for Quarantine {
 #[derive(Debug)]
 pub struct SweepGuard {
     quarantined: Vec<Quarantine>,
-    max_attempts: u32,
-    backoff_base_ms: u64,
+    policy: RetryPolicy,
 }
 
 impl Default for SweepGuard {
@@ -448,20 +374,30 @@ impl SweepGuard {
     /// backoff sleep — the simulator has no external contention to wait
     /// out, so the default keeps sweeps fast and fully deterministic).
     pub fn new() -> Self {
-        Self::with_policy(Self::DEFAULT_MAX_ATTEMPTS, 0)
+        Self::with_policy(RetryPolicy {
+            max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
+            ..RetryPolicy::default()
+        })
     }
 
     /// Creates a guard with an explicit retry policy: up to
-    /// `max_attempts` runs per cell (clamped to ≥ 1) with a deterministic
-    /// exponential backoff of `backoff_base_ms << (attempt - 1)`
-    /// milliseconds before each retry. The schedule depends only on the
-    /// attempt number, so a quarantined record reproduces exactly.
-    pub fn with_policy(max_attempts: u32, backoff_base_ms: u64) -> Self {
+    /// `max_attempts` runs per cell (clamped to ≥ 1) with the policy's
+    /// deterministic [`RetryPolicy::backoff_ms`] wait before each retry —
+    /// the same ladder the sharded executor runs per shard, so a
+    /// quarantined record reproduces exactly.
+    pub fn with_policy(policy: RetryPolicy) -> Self {
         Self {
             quarantined: Vec::new(),
-            max_attempts: max_attempts.max(1),
-            backoff_base_ms,
+            policy: RetryPolicy {
+                max_attempts: policy.max_attempts.max(1),
+                ..policy
+            },
         }
+    }
+
+    /// The retry policy cells run under.
+    pub fn policy(&self) -> RetryPolicy {
+        self.policy
     }
 
     /// Runs one cell attempt with panic isolation and bounded retry.
@@ -504,8 +440,8 @@ impl SweepGuard {
                     "PANIC",
                 ),
             };
-            if attempts < self.max_attempts {
-                let backoff_ms = self.backoff_base_ms << (attempts - 1);
+            if attempts < self.policy.max_attempts {
+                let backoff_ms = self.policy.backoff_ms(attempts);
                 if backoff_ms > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                 }
@@ -529,8 +465,8 @@ impl SweepGuard {
     /// Quarantines a failed sharded cell. The [`ShardAbort`] taxonomy
     /// already carries the shard id and supervision attempt count, so the
     /// record is built from the error instead of re-running anything; the
-    /// recorded backoff schedule is the guard's own deterministic
-    /// `base << (attempt - 1)` ladder for those attempts.
+    /// recorded backoff schedule is the guard's policy's ladder for those
+    /// attempts — the policy the executor ran (see [`sharded_executor`]).
     ///
     /// [`ShardAbort`]: gnnone_sim::error::ShardAbort
     pub fn quarantine_sharded(&mut self, kernel: &str, dataset: &str, error: GnnOneError) -> Cell {
@@ -539,9 +475,7 @@ impl SweepGuard {
             GnnOneError::Launch(_) => (1, None, "CRASH"),
             _ => (1, None, "ERR"),
         };
-        let backoff_ms = (1..attempts)
-            .map(|i| self.backoff_base_ms << (i - 1))
-            .collect();
+        let backoff_ms = (1..attempts).map(|a| self.policy.backoff_ms(a)).collect();
         self.quarantined.push(Quarantine {
             kernel: kernel.to_string(),
             dataset: dataset.to_string(),
@@ -607,92 +541,54 @@ fn checksum(values: &[f32]) -> f64 {
     values.iter().map(|&v| v as f64).sum()
 }
 
-/// Guarded variant of [`run_sddmm`]: panic/abort isolation with a
-/// CPU-reference fallback annotation.
-pub fn run_sddmm_guarded(
+/// The CPU reference for one runner launch on `inputs` (signature order);
+/// `None` for the fused kernel, whose slope the reference would need.
+fn cpu_reference(op: Op, ds: &Dataset, inputs: &[Vec<f32>], f: usize) -> Option<Vec<f32>> {
+    let i = inputs;
+    Some(match op {
+        Op::Sddmm => reference::sddmm_coo_par(&ds.coo, &i[0], &i[1], f),
+        Op::Spmm => reference::spmm_csr_par(&ds.csr, &i[0], &i[1], f),
+        Op::Spmv => reference::spmv_csr(&ds.csr, &i[0], &i[1]),
+        Op::EdgeApply => reference::u_add_v_coo(&ds.coo, &i[0], &i[1]),
+        Op::Fused => return None,
+    })
+}
+
+/// Runs one kernel on a loaded dataset under `guard`: seeded inputs,
+/// panic/abort isolation, and a CPU-reference fallback annotation when
+/// the cell is quarantined.
+pub fn run_guarded(
     backend: &Backend,
-    kernel: &dyn gnnone_kernels::traits::SddmmKernel,
+    kernel: &Kernel,
     ld: &LoadedDataset,
     f: usize,
     guard: &mut SweepGuard,
 ) -> Cell {
-    let n = ld.graph.num_vertices();
-    let xh = vertex_features(n, f, 11);
-    let yh = vertex_features(n, f, 13);
-    let x = DeviceBuffer::from_slice(&xh);
-    let y = DeviceBuffer::from_slice(&yh);
-    let w = DeviceBuffer::<f32>::zeros(ld.graph.nnz());
-    let coo = &ld.dataset.coo;
+    let op = kernel.op();
+    let host = seeded_inputs(op, &ld.graph, f);
+    let inputs: Vec<DeviceBuffer<f32>> = host.iter().map(|h| DeviceBuffer::from_slice(h)).collect();
+    let out = DeviceBuffer::<f32>::zeros(kernel.output_lens(f).next().expect("one output"));
     guard.guard_cell(
         kernel.name(),
         ld.spec.id,
-        || backend.run_sddmm(kernel, &x, &y, f, &w).map(|r| r.time_ms),
-        Some(|| {
-            let out = reference::sddmm_coo_par(coo, &xh, &yh, f);
-            format!(
-                "cpu-reference sddmm produced {} values (checksum {:.6e})",
+        || {
+            kernel
+                .launch(
+                    backend.device(),
+                    &inputs.iter().collect::<Vec<_>>(),
+                    f,
+                    &[&out],
+                )
+                .map(|r| r.time_ms)
+        },
+        Some(|| match cpu_reference(op, &ld.dataset, &host, f) {
+            Some(out) => format!(
+                "cpu-reference {} produced {} values (checksum {:.6e})",
+                op.as_str(),
                 out.len(),
                 checksum(&out)
-            )
-        }),
-    )
-}
-
-/// Guarded variant of [`run_spmm`].
-pub fn run_spmm_guarded(
-    backend: &Backend,
-    kernel: &dyn gnnone_kernels::traits::SpmmKernel,
-    ld: &LoadedDataset,
-    f: usize,
-    guard: &mut SweepGuard,
-) -> Cell {
-    let n = ld.graph.num_vertices();
-    let xh = vertex_features(n, f, 17);
-    let wh = edge_values(ld.graph.nnz(), 19);
-    let x = DeviceBuffer::from_slice(&xh);
-    let w = DeviceBuffer::from_slice(&wh);
-    let y = DeviceBuffer::<f32>::zeros(n * f);
-    let csr = &ld.dataset.csr;
-    guard.guard_cell(
-        kernel.name(),
-        ld.spec.id,
-        || backend.run_spmm(kernel, &w, &x, f, &y).map(|r| r.time_ms),
-        Some(|| {
-            let out = reference::spmm_csr_par(csr, &wh, &xh, f);
-            format!(
-                "cpu-reference spmm produced {} values (checksum {:.6e})",
-                out.len(),
-                checksum(&out)
-            )
-        }),
-    )
-}
-
-/// Guarded variant of [`run_spmv`].
-pub fn run_spmv_guarded(
-    backend: &Backend,
-    kernel: &dyn gnnone_kernels::traits::SpmvKernel,
-    ld: &LoadedDataset,
-    guard: &mut SweepGuard,
-) -> Cell {
-    let n = ld.graph.num_vertices();
-    let xh = vertex_features(n, 1, 23);
-    let wh = edge_values(ld.graph.nnz(), 29);
-    let x = DeviceBuffer::from_slice(&xh);
-    let w = DeviceBuffer::from_slice(&wh);
-    let y = DeviceBuffer::<f32>::zeros(n);
-    let csr = &ld.dataset.csr;
-    guard.guard_cell(
-        kernel.name(),
-        ld.spec.id,
-        || backend.run_spmv(kernel, &w, &x, &y).map(|r| r.time_ms),
-        Some(|| {
-            let out = reference::spmv_csr(csr, &wh, &xh);
-            format!(
-                "cpu-reference spmv produced {} values (checksum {:.6e})",
-                out.len(),
-                checksum(&out)
-            )
+            ),
+            None => format!("no cpu reference for {}", op.as_str()),
         }),
     )
 }
@@ -771,7 +667,10 @@ mod tests {
     fn guard_policy_bounds_attempts() {
         // A cell that always aborts burns exactly `max_attempts` tries.
         use gnnone_sim::{AbortReason, KernelAbort};
-        let mut guard = SweepGuard::with_policy(5, 0);
+        let mut guard = SweepGuard::with_policy(RetryPolicy {
+            max_attempts: 5,
+            ..RetryPolicy::default()
+        });
         let mut calls = 0u32;
         let cell = guard.guard_cell(
             "K",
@@ -795,7 +694,10 @@ mod tests {
 
     #[test]
     fn guard_single_attempt_policy_never_retries() {
-        let mut guard = SweepGuard::with_policy(1, 0);
+        let mut guard = SweepGuard::with_policy(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        });
         let cell = guard.guard_cell(
             "K",
             "G0",
@@ -857,40 +759,80 @@ mod tests {
     }
 
     #[test]
-    fn guarded_runners_match_unguarded_on_healthy_kernels() {
-        let spec = by_id("G0").unwrap();
-        let ld = load(&spec, Scale::Tiny);
-        let backend = Backend::Sim(Gpu::new(figure_gpu_spec()));
-        let mut guard = SweepGuard::new();
-        for k in registry::spmm_kernels(&ld.graph) {
-            let plain = run_spmm(&backend, k.as_ref(), &ld, 8);
-            let guarded = run_spmm_guarded(&backend, k.as_ref(), &ld, 8, &mut guard);
-            assert_eq!(plain, guarded, "{} diverged under guard", k.name());
-        }
-        assert!(guard.is_clean());
+    fn long_retry_ladders_stay_clamped() {
+        // 70 attempts overflow an unclamped `base << (attempt - 1)`.
+        let mut guard = SweepGuard::with_policy(RetryPolicy {
+            max_attempts: 70,
+            ..RetryPolicy::default()
+        });
+        let cell = guard.guard_cell(
+            "K",
+            "G0",
+            || -> Result<f64, LaunchError> { panic!("boom") },
+            None::<fn() -> String>,
+        );
+        assert_eq!(cell, Cell::Err("PANIC".into()));
+        assert_eq!(guard.quarantined()[0].attempts, 70);
+
+        let policy = RetryPolicy {
+            max_attempts: 70,
+            backoff_base_ms: 1,
+            ..RetryPolicy::default()
+        };
+        let mut guard = SweepGuard::with_policy(policy);
+        let abort = gnnone_sim::ShardAbort {
+            kernel: "K".into(),
+            shard: 1,
+            shards: 2,
+            attempts: 70,
+            completed: 1,
+            fault: None,
+            detail: "exhausted".into(),
+        };
+        let cell = guard.quarantine_sharded("K", "G0", GnnOneError::ShardAbort(abort));
+        assert_eq!(cell, Cell::Err("ABORT".into()));
+        let q = &guard.quarantined()[0];
+        assert_eq!(q.shard, Some(1));
+        let ladder: Vec<u64> = (1..70).map(|a| policy.backoff_ms(a)).collect();
+        assert_eq!(q.backoff_ms, ladder);
+        assert_eq!(q.backoff_ms[..3], [1, 2, 4]);
     }
 
     #[test]
-    fn end_to_end_sweep_cell() {
+    fn guarded_runner_is_clean_on_every_registry_kernel() {
         let spec = by_id("G0").unwrap();
         let ld = load(&spec, Scale::Tiny);
         for backend in [
             Backend::Sim(Gpu::new(figure_gpu_spec())),
             Backend::Native(NativeEngine::with_threads(2).unwrap()),
         ] {
-            for k in registry::sddmm_kernels(&ld.graph) {
-                let cell = run_sddmm(&backend, k.as_ref(), &ld, 16);
+            let mut guard = SweepGuard::new();
+            for k in registry::all(&ld.graph) {
+                let cell = run_guarded(&backend, &k, &ld, 16, &mut guard);
                 assert!(cell.ms().is_some(), "{} failed on tiny G0", k.name());
             }
-            for k in registry::spmm_kernels(&ld.graph) {
-                let cell = run_spmm(&backend, k.as_ref(), &ld, 16);
-                assert!(cell.ms().is_some(), "{} failed on tiny G0", k.name());
-            }
-            for k in registry::spmv_kernels(&ld.graph) {
-                let cell = run_spmv(&backend, k.as_ref(), &ld);
-                assert!(cell.ms().is_some(), "{} failed on tiny G0", k.name());
-            }
+            assert!(guard.is_clean());
         }
+    }
+
+    #[test]
+    fn sharded_runner_at_one_shard_matches_the_guarded_sim_run() {
+        let spec = by_id("G0").unwrap();
+        let ld = load(&spec, Scale::Tiny);
+        let backend = Backend::Sim(Gpu::new(figure_gpu_spec()));
+        let mut guard = SweepGuard::new();
+        let exec = sharded_executor(&Options::default(), &ld, 1, guard.policy()).unwrap();
+        // The sharded fused kernel also writes α, which the guarded run
+        // does not request, so its simulated time differs by design.
+        for k in registry::all(&ld.graph)
+            .iter()
+            .filter(|k| k.op() != Op::Fused)
+        {
+            let plain = run_guarded(&backend, k, &ld, 8, &mut guard);
+            let sharded = run_sharded(&mut guard, &exec, k.op(), k.name(), &ld, 8);
+            assert_eq!(plain, sharded, "{} diverged at K=1", k.name());
+        }
+        assert!(guard.is_clean());
     }
 
     #[test]

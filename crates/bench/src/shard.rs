@@ -32,15 +32,17 @@
 
 use std::sync::Arc;
 
+use gnnone_kernels::backend::Device;
 use gnnone_kernels::graph::GraphData;
-use gnnone_kernels::registry;
+use gnnone_kernels::registry::{self, SweepInputs};
 use gnnone_kernels::shard::{RetryPolicy, ShardTopology, ShardedExecutor, ShardedReport};
+use gnnone_kernels::traits::Op;
 use gnnone_sim::jsonio::Json;
 use gnnone_sim::{DeviceBuffer, GnnOneError, ShardFaultKind};
 use gnnone_sparse::datasets::{Dataset, Scale};
 use gnnone_sparse::PartitionStats;
 
-use crate::chaos::kernel_selected;
+use crate::chaos::{int_inputs, kernel_selected};
 
 /// Shard-fault sweep configuration.
 #[derive(Debug, Clone)]
@@ -437,25 +439,33 @@ fn column_tag(fault: ShardFaultKind) -> &'static str {
     }
 }
 
-/// Integer-valued pseudo-features (see [`crate::chaos`]): exact `f32`
-/// arithmetic makes bitwise sharded/unsharded comparison meaningful.
-fn int_features(n: usize, modulus: usize, offset: f32) -> Vec<f32> {
-    (0..n).map(|i| (i % modulus) as f32 - offset).collect()
+/// One kernel under test, with the bit-exact output of its fault-free
+/// unsharded native run (every output, concatenated in signature order).
+struct ShardProbe {
+    op: Op,
+    name: &'static str,
+    reference: Vec<f32>,
 }
 
-/// A boxed sharded launch: run the kernel through the executor, returning
-/// the merged output (fused: `y` then `alpha`, concatenated) and the
-/// supervision report.
-type ShardRun<'a> =
-    Box<dyn Fn(&ShardedExecutor) -> Result<(Vec<f32>, ShardedReport), GnnOneError> + 'a>;
-
-/// One kernel under test: its sharded launch plus the bit-exact output of
-/// the same kernel's fault-free unsharded native run.
-struct ShardProbe<'a> {
-    name: String,
-    family: &'static str,
-    reference: Vec<f32>,
-    run: ShardRun<'a>,
+impl ShardProbe {
+    /// Runs the kernel through the executor, returning its merged outputs
+    /// concatenated like [`Self::reference`] and the supervision report.
+    fn run(
+        &self,
+        exec: &ShardedExecutor,
+        inputs: &SweepInputs<Vec<f32>>,
+        f: usize,
+    ) -> Result<(Vec<f32>, ShardedReport), GnnOneError> {
+        let inputs: Vec<&[f32]> = inputs
+            .for_op(self.op)
+            .into_iter()
+            .map(Vec::as_slice)
+            .collect();
+        let make =
+            |g: &Arc<GraphData>| registry::by_name(g, self.op, self.name).expect("registry kernel");
+        exec.run(&make, &inputs, f)
+            .map(|(outputs, report)| (outputs.concat(), report))
+    }
 }
 
 /// Runs the full shard-fault sweep: every selected registry kernel ×
@@ -490,142 +500,33 @@ fn sweep_dataset(
     report: &mut ShardReport,
 ) -> Result<(), GnnOneError> {
     let graph = Arc::new(GraphData::new(ds.coo.clone()));
-    let nv = graph.num_vertices();
-    let nnz = graph.nnz();
+    registry::check_filter(&graph, &opts.kernels)?;
     let f = opts.f;
 
-    let x = Arc::new(int_features(nv * f, 7, 3.0));
-    let z = Arc::new(int_features(nv * f, 5, 2.0));
-    let w: Arc<Vec<f32>> = Arc::new((0..nnz).map(|e| ((e % 4) + 1) as f32).collect());
-    let el = Arc::new(int_features(nv, 3, 1.0));
-    let er = Arc::new(int_features(nv, 9, 4.0));
+    let inputs = int_inputs(&graph, f);
 
     // Reference device: one unsharded native engine.
     let eng = gnnone_kernels::backend::NativeEngine::with_threads(opts.threads.unwrap_or(2))
         .map_err(|detail| GnnOneError::Config { detail })?;
-    let dx = DeviceBuffer::from_slice(&x);
-    let dz = DeviceBuffer::from_slice(&z);
-    let dw = DeviceBuffer::from_slice(&w);
-    let del = DeviceBuffer::from_slice(&el);
-    let der = DeviceBuffer::from_slice(&er);
-
-    let mut probes: Vec<ShardProbe> = Vec::new();
-    for k in registry::sddmm_kernels(&graph) {
-        let out = DeviceBuffer::<f32>::zeros(nnz);
-        k.run_native(&eng, &dx, &dz, f, &out)
-            .map_err(GnnOneError::from)?;
-        let name = k.name().to_string();
-        let (by_name, x, z) = (name.clone(), Arc::clone(&x), Arc::clone(&z));
+    let device_inputs = inputs.upload();
+    let mut probes = Vec::new();
+    for k in registry::all(&graph) {
+        if !kernel_selected(&opts.kernels, k.name()) {
+            continue;
+        }
+        let outputs: Vec<DeviceBuffer<f32>> = k.output_lens(f).map(DeviceBuffer::zeros).collect();
+        k.launch(
+            Device::Native(&eng),
+            &device_inputs.for_op(k.op()),
+            f,
+            &outputs.iter().collect::<Vec<_>>(),
+        )?;
         probes.push(ShardProbe {
-            name,
-            family: "sddmm",
-            reference: out.to_vec(),
-            run: Box::new(move |exec| {
-                exec.run_sddmm(
-                    &|g| registry::sddmm_by_name(g, &by_name).expect("registry kernel"),
-                    &x,
-                    &z,
-                    f,
-                )
-            }),
+            op: k.op(),
+            name: k.name(),
+            reference: outputs.iter().flat_map(DeviceBuffer::to_vec).collect(),
         });
     }
-    for k in registry::spmm_kernels(&graph)
-        .into_iter()
-        .chain(registry::spmm_discussion_kernels(&graph))
-        .chain(registry::spmm_format_kernels(&graph))
-    {
-        let out = DeviceBuffer::<f32>::zeros(nv * f);
-        k.run_native(&eng, &dw, &dx, f, &out)
-            .map_err(GnnOneError::from)?;
-        let name = k.name().to_string();
-        let (by_name, w, x) = (name.clone(), Arc::clone(&w), Arc::clone(&x));
-        probes.push(ShardProbe {
-            name,
-            family: "spmm",
-            reference: out.to_vec(),
-            run: Box::new(move |exec| {
-                exec.run_spmm(
-                    &|g| registry::spmm_by_name(g, &by_name).expect("registry kernel"),
-                    &w,
-                    &x,
-                    f,
-                )
-            }),
-        });
-    }
-    for k in registry::spmv_class_kernels(&graph) {
-        let out = DeviceBuffer::<f32>::zeros(nv);
-        k.run_native(&eng, &dw, &del, &out)
-            .map_err(GnnOneError::from)?;
-        let name = k.name().to_string();
-        let (by_name, w, el) = (name.clone(), Arc::clone(&w), Arc::clone(&el));
-        probes.push(ShardProbe {
-            name,
-            family: "spmv",
-            reference: out.to_vec(),
-            run: Box::new(move |exec| {
-                exec.run_spmv(
-                    &|g| registry::spmv_by_name(g, &by_name).expect("registry kernel"),
-                    &w,
-                    &el,
-                )
-            }),
-        });
-    }
-    for k in registry::edge_apply_kernels(&graph) {
-        let out = DeviceBuffer::<f32>::zeros(nnz);
-        k.run_native(&eng, &del, &der, &out)
-            .map_err(GnnOneError::from)?;
-        let name = k.name().to_string();
-        let (by_name, el, er) = (name.clone(), Arc::clone(&el), Arc::clone(&er));
-        probes.push(ShardProbe {
-            name,
-            family: "edge-apply",
-            reference: out.to_vec(),
-            run: Box::new(move |exec| {
-                exec.run_edge_apply(
-                    &|g| registry::edge_apply_by_name(g, &by_name).expect("registry kernel"),
-                    &el,
-                    &er,
-                )
-            }),
-        });
-    }
-    for k in registry::fused_kernels(&graph) {
-        let out = DeviceBuffer::<f32>::zeros(nv * f);
-        let alpha = DeviceBuffer::<f32>::zeros(nnz);
-        k.run_native(&eng, &dz, &del, &der, f, &out, Some(&alpha))
-            .map_err(GnnOneError::from)?;
-        let mut reference = out.to_vec();
-        reference.extend(alpha.to_vec());
-        let name = k.name().to_string();
-        let (by_name, z, el, er) = (
-            name.clone(),
-            Arc::clone(&z),
-            Arc::clone(&el),
-            Arc::clone(&er),
-        );
-        probes.push(ShardProbe {
-            name,
-            family: "fused",
-            reference,
-            run: Box::new(move |exec| {
-                exec.run_fused(
-                    &|g| registry::fused_by_name(g, &by_name).expect("registry kernel"),
-                    &z,
-                    &el,
-                    &er,
-                    f,
-                )
-                .map(|(mut y, alpha, rep)| {
-                    y.extend(alpha);
-                    (y, rep)
-                })
-            }),
-        });
-    }
-    probes.retain(|p| kernel_selected(&opts.kernels, &p.name));
 
     let dataset = ds.spec.id.to_string();
     for &k in &opts.shards {
@@ -640,7 +541,7 @@ fn sweep_dataset(
         for probe in &probes {
             // Fault-free parity first: the baseline the fault cells rest on.
             exec.clear_fault();
-            let (identical, detail) = match (probe.run)(&exec) {
+            let (identical, detail) = match probe.run(&exec, &inputs, f) {
                 Ok((out, _)) => {
                     if bits(&out) == bits(&probe.reference) {
                         (true, String::new())
@@ -651,8 +552,8 @@ fn sweep_dataset(
                 Err(e) => (false, format!("fault-free sharded run failed: {e}")),
             };
             report.parity.push(ParityCheck {
-                kernel: probe.name.clone(),
-                family: probe.family,
+                kernel: probe.name.to_string(),
+                family: probe.op.as_str(),
                 dataset: dataset.clone(),
                 shards: k,
                 identical,
@@ -663,7 +564,7 @@ fn sweep_dataset(
                 for s in 0..u64::from(opts.seeds) {
                     let seed = opts.seed.wrapping_add(s);
                     exec.arm_fault(fault, seed);
-                    let (verdict, retries, launches, detail) = match (probe.run)(&exec) {
+                    let (verdict, retries, launches, detail) = match probe.run(&exec, &inputs, f) {
                         Ok((out, rep)) => {
                             let launches: u32 = rep.launches.iter().sum();
                             if bits(&out) != bits(&probe.reference) {
@@ -698,8 +599,8 @@ fn sweep_dataset(
                         Err(e) => (ShardVerdict::UnexpectedError, 0, 0, e.to_string()),
                     };
                     report.cells.push(ShardCell {
-                        kernel: probe.name.clone(),
-                        family: probe.family,
+                        kernel: probe.name.to_string(),
+                        family: probe.op.as_str(),
                         dataset: dataset.clone(),
                         shards: k,
                         fault,
@@ -796,6 +697,15 @@ mod tests {
                 c.retries
             );
         }
+    }
+
+    #[test]
+    fn unknown_kernel_filter_is_a_config_error() {
+        let mut opts = quick_opts();
+        opts.kernels = vec!["NoSuchKernel".into()];
+        let err = run_shard_sweep(&opts).unwrap_err();
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("NoSuchKernel"), "{err}");
     }
 
     #[test]

@@ -123,6 +123,7 @@ pub fn verify_datasets(
     let mut cells = Vec::new();
     for spec in &specs {
         let ld = runner::load(spec, opts.scale);
+        gnnone_kernels::registry::check_filter(&ld.graph, &opts.kernels)?;
         for &f in &opts.dims {
             let mut verdicts = Vec::new();
             for &model in models {
@@ -276,6 +277,18 @@ mod tests {
             .lattice
             .iter()
             .all(|(_, v)| v.kernel.eq_ignore_ascii_case("GnnOne")));
+    }
+
+    #[test]
+    fn unknown_kernel_filter_is_a_config_error() {
+        let mut opts = tiny_opts();
+        opts.kernels = vec!["NoSuchKernel".into()];
+        let err = match verify_datasets(&opts, &[ExecModel::Sim], false) {
+            Err(e) => e,
+            Ok(_) => panic!("a misspelled --kernels filter must not verify vacuously"),
+        };
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("NoSuchKernel"), "{err}");
     }
 
     #[test]

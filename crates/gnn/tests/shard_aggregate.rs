@@ -15,8 +15,10 @@ use std::sync::Arc;
 
 use gnnone_gnn::graphops;
 use gnnone_gnn::{GnnContext, SystemKind};
-use gnnone_kernels::registry;
+use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneSpmm};
+use gnnone_kernels::graph::GraphData;
 use gnnone_kernels::shard::{ShardTopology, ShardedExecutor};
+use gnnone_kernels::traits::SpmmKernel;
 use gnnone_sim::{GpuSpec, ShardFaultKind};
 use gnnone_sparse::datasets::{Dataset, Scale};
 use gnnone_tensor::{Tape, Tensor};
@@ -62,12 +64,7 @@ fn sharded_aggregation_matches_the_gnn_layer_bitwise() {
             )
             .expect("partition");
             let (sharded, report) = exec
-                .run_spmm(
-                    &|g| registry::spmm_by_name(g, "GnnOne").expect("registry kernel"),
-                    &w,
-                    &x,
-                    f,
-                )
+                .run_spmm(&gnnone_spmm, &w, &x, f)
                 .expect("sharded aggregation");
             let want: Vec<u32> = unsharded.iter().map(|v| v.to_bits()).collect();
             let got: Vec<u32> = sharded.iter().map(|v| v.to_bits()).collect();
@@ -100,12 +97,7 @@ fn aggregation_recovers_bitwise_after_a_shard_kill() {
     for (s, fault) in ShardFaultKind::lattice().into_iter().enumerate() {
         exec.arm_fault(fault, 0xC0FFEE + s as u64);
         let (sharded, report) = exec
-            .run_spmm(
-                &|g| registry::spmm_by_name(g, "GnnOne").expect("registry kernel"),
-                &w,
-                &x,
-                f,
-            )
+            .run_spmm(&gnnone_spmm, &w, &x, f)
             .expect("recovered sharded aggregation");
         let want: Vec<u32> = unsharded.iter().map(|v| v.to_bits()).collect();
         let got: Vec<u32> = sharded.iter().map(|v| v.to_bits()).collect();
@@ -115,4 +107,8 @@ fn aggregation_recovers_bitwise_after_a_shard_kill() {
             "{fault:?}: the armed fault must fire and be retried"
         );
     }
+}
+
+fn gnnone_spmm(g: &Arc<GraphData>) -> Box<dyn SpmmKernel> {
+    Box::new(GnnOneSpmm::new(Arc::clone(g), GnnOneConfig::default()))
 }

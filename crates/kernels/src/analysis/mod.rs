@@ -124,47 +124,18 @@ fn checked(
     }
 }
 
-/// Verifies every registry kernel (all 21: 6 SDDMM + 6 SpMM + 3
-/// discussion SpMM + 3 SpMV classes + 1 format study + 1 edge-apply +
-/// 1 fused) against `graph` under one execution model. The edge-apply
+/// Verifies every registry kernel (all 21 of [`registry::all`]: 6 SDDMM +
+/// 6 SpMM + 3 discussion SpMM + 1 format study + 3 SpMV classes +
+/// 1 edge-apply + 1 fused) against `graph` under one execution model. The edge-apply
 /// and fused entries are the IR-lowered instances ([`crate::ir`]), so
 /// this sweep also gates every IR-lowered launch. A kernel without a
 /// summary yields an `Unknown` coverage-gap verdict, so "all proved"
 /// doubles as the coverage gate.
 pub fn verify_graph(graph: &Arc<GraphData>, f: usize, model: ExecModel) -> Vec<KernelVerdict> {
-    let mut out = Vec::new();
-    for k in registry::sddmm_kernels(graph) {
-        out.push(checked(
-            k.name(),
-            "sddmm",
-            model,
-            k.access_summary(f, model),
-        ));
-    }
-    for k in registry::spmm_kernels(graph) {
-        out.push(checked(k.name(), "spmm", model, k.access_summary(f, model)));
-    }
-    for k in registry::spmm_discussion_kernels(graph) {
-        out.push(checked(k.name(), "spmm", model, k.access_summary(f, model)));
-    }
-    for k in registry::spmv_class_kernels(graph) {
-        out.push(checked(k.name(), "spmv", model, k.access_summary(model)));
-    }
-    for k in registry::spmm_format_kernels(graph) {
-        out.push(checked(k.name(), "spmm", model, k.access_summary(f, model)));
-    }
-    for k in registry::edge_apply_kernels(graph) {
-        out.push(checked(k.name(), "u-add-v", model, k.access_summary(model)));
-    }
-    for k in registry::fused_kernels(graph) {
-        out.push(checked(
-            k.name(),
-            "fused",
-            model,
-            k.access_summary(f, model),
-        ));
-    }
-    out
+    registry::all(graph)
+        .iter()
+        .map(|k| checked(k.name(), k.op().as_str(), model, k.access_summary(f, model)))
+        .collect()
 }
 
 /// Verifies the configurable GNNOne kernels at every point of the

@@ -23,6 +23,7 @@ use crate::analysis::sym::Sym;
 use crate::backend::native;
 use crate::gnnone::GnnOneConfig;
 use crate::graph::GraphData;
+use crate::traits::Op;
 
 /// Maximum row degree of a graph — the `max_degree` summary parameter.
 pub fn max_degree(graph: &GraphData) -> usize {
@@ -280,11 +281,11 @@ pub fn gnnone_uaddv(name: &str, graph: &GraphData, cfg: &GnnOneConfig) -> Access
         shared_words,
         shared_steps,
         ops_per_warp: pipeline_ops(256, 32),
-        ..LaunchSummary::new("u-add-v")
+        ..LaunchSummary::new("coo-edge-apply")
     };
     AccessSummary::single(
         name,
-        "u-add-v",
+        Op::EdgeApply.as_str(),
         ExecModel::Sim,
         env_for(graph, 1, cfg.cache_size),
         launch,

@@ -173,8 +173,8 @@ impl LaunchSummary {
 pub struct AccessSummary {
     /// Kernel display name (matches the registry).
     pub kernel: String,
-    /// Operation family (`"sddmm"`, `"spmm"`, `"spmv"`, `"u-add-v"`,
-    /// `"fused"`).
+    /// Operation family, as [`crate::traits::Op::as_str`] spells it
+    /// (`"sddmm"`, `"spmm"`, `"spmv"`, `"edge_apply"`, `"fused"`).
     pub op: &'static str,
     /// Which execution model the summary describes.
     pub model: ExecModel,

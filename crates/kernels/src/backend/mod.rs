@@ -27,7 +27,9 @@ use gnnone_sim::{DeviceBuffer, Gpu, KernelReport};
 
 pub use native::{NativeEngine, NativeReport};
 
-use crate::traits::{EdgeApplyKernel, FusedAttentionKernel, SddmmKernel, SpmmKernel, SpmvKernel};
+use crate::traits::{
+    EdgeApplyKernel, FusedAttentionKernel, KernelRef, SddmmKernel, SpmmKernel, SpmvKernel,
+};
 
 /// Which backend a run targets — the value behind the `--backend` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,7 +86,7 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    fn from_sim(r: KernelReport) -> Self {
+    pub(crate) fn from_sim(r: KernelReport) -> Self {
         Self {
             name: r.name,
             backend: BackendKind::Sim,
@@ -94,7 +96,7 @@ impl ExecReport {
         }
     }
 
-    fn from_native(r: NativeReport) -> Self {
+    pub(crate) fn from_native(r: NativeReport) -> Self {
         Self {
             name: r.name,
             backend: BackendKind::Native,
@@ -107,11 +109,13 @@ impl ExecReport {
 
 /// A concrete execution backend: the simulator or the native CPU engine.
 ///
-/// Dispatch is by kernel *family* — one `run_*` method per kernel trait,
-/// each taking the same operand buffers the trait's `run` takes. Both
-/// arms return the unified [`ExecReport`]; sim-only launch failures
-/// (grid/memory limits, watchdog aborts) surface unchanged, and native
-/// launches never fail.
+/// Launches go through [`Kernel::launch`] on [`Backend::device`]; the
+/// `run_*` methods forward borrowed family trait objects into that one
+/// path. Both arms return the unified [`ExecReport`]; sim-only launch
+/// failures (grid/memory limits, watchdog aborts) surface unchanged, and
+/// native launches never fail.
+///
+/// [`Kernel::launch`]: crate::traits::Kernel::launch
 // One Backend exists per process (never stored in collections), so the
 // Gpu/NativeEngine size gap costs nothing; boxing would only add a deref
 // to every launch.
@@ -121,6 +125,18 @@ pub enum Backend {
     Sim(Gpu),
     /// Native multithreaded CPU backend.
     Native(NativeEngine),
+}
+
+/// Where one launch executes: a simulated GPU or a native engine,
+/// borrowed from a [`Backend`] or a shard topology.
+/// [`Kernel::launch`](crate::traits::Kernel::launch) is the only place
+/// that matches a kernel family against it.
+#[derive(Clone, Copy)]
+pub enum Device<'a> {
+    /// A simulated GPU.
+    Sim(&'a Gpu),
+    /// A native CPU engine.
+    Native(&'a NativeEngine),
 }
 
 impl Backend {
@@ -141,6 +157,14 @@ impl Backend {
         }
     }
 
+    /// The device launches on this backend run on.
+    pub fn device(&self) -> Device<'_> {
+        match self {
+            Backend::Sim(gpu) => Device::Sim(gpu),
+            Backend::Native(eng) => Device::Native(eng),
+        }
+    }
+
     /// Runs one SDDMM launch on this backend.
     pub fn run_sddmm(
         &self,
@@ -150,12 +174,7 @@ impl Backend {
         f: usize,
         w: &DeviceBuffer<f32>,
     ) -> Result<ExecReport, LaunchError> {
-        match self {
-            Backend::Sim(gpu) => kernel.run(gpu, x, y, f, w).map(ExecReport::from_sim),
-            Backend::Native(eng) => kernel
-                .run_native(eng, x, y, f, w)
-                .map(ExecReport::from_native),
-        }
+        KernelRef::Sddmm(kernel).launch(self.device(), &[x, y], f, &[w])
     }
 
     /// Runs one SpMM launch on this backend.
@@ -167,14 +186,7 @@ impl Backend {
         f: usize,
         y: &DeviceBuffer<f32>,
     ) -> Result<ExecReport, LaunchError> {
-        match self {
-            Backend::Sim(gpu) => kernel
-                .run(gpu, edge_vals, x, f, y)
-                .map(ExecReport::from_sim),
-            Backend::Native(eng) => kernel
-                .run_native(eng, edge_vals, x, f, y)
-                .map(ExecReport::from_native),
-        }
+        KernelRef::Spmm(kernel).launch(self.device(), &[edge_vals, x], f, &[y])
     }
 
     /// Runs one SpMV launch on this backend.
@@ -185,12 +197,7 @@ impl Backend {
         x: &DeviceBuffer<f32>,
         y: &DeviceBuffer<f32>,
     ) -> Result<ExecReport, LaunchError> {
-        match self {
-            Backend::Sim(gpu) => kernel.run(gpu, edge_vals, x, y).map(ExecReport::from_sim),
-            Backend::Native(eng) => kernel
-                .run_native(eng, edge_vals, x, y)
-                .map(ExecReport::from_native),
-        }
+        KernelRef::Spmv(kernel).launch(self.device(), &[edge_vals, x], 1, &[y])
     }
 
     /// Runs one edge-apply (`u_add_v`) launch on this backend.
@@ -201,12 +208,7 @@ impl Backend {
         er: &DeviceBuffer<f32>,
         w: &DeviceBuffer<f32>,
     ) -> Result<ExecReport, LaunchError> {
-        match self {
-            Backend::Sim(gpu) => kernel.run(gpu, el, er, w).map(ExecReport::from_sim),
-            Backend::Native(eng) => kernel
-                .run_native(eng, el, er, w)
-                .map(ExecReport::from_native),
-        }
+        KernelRef::EdgeApply(kernel).launch(self.device(), &[el, er], 1, &[w])
     }
 
     /// Runs one fused-attention launch on this backend.
@@ -221,13 +223,12 @@ impl Backend {
         y: &DeviceBuffer<f32>,
         alpha_out: Option<&DeviceBuffer<f32>>,
     ) -> Result<ExecReport, LaunchError> {
-        match self {
-            Backend::Sim(gpu) => kernel
-                .run(gpu, z, el, er, f, y, alpha_out)
-                .map(ExecReport::from_sim),
-            Backend::Native(eng) => kernel
-                .run_native(eng, z, el, er, f, y, alpha_out)
-                .map(ExecReport::from_native),
+        let launch = |outputs: &[&DeviceBuffer<f32>]| {
+            KernelRef::Fused(kernel).launch(self.device(), &[z, el, er], f, outputs)
+        };
+        match alpha_out {
+            Some(alpha) => launch(&[y, alpha]),
+            None => launch(&[y]),
         }
     }
 }

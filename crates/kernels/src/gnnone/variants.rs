@@ -25,7 +25,7 @@ use crate::gnnone::config::{GnnOneConfig, Schedule};
 use crate::gnnone::pipeline::{stage2_geometry, CooNzes, TwoStagePipeline};
 use crate::gnnone::reduce::{NoReduce, ScalarGather};
 use crate::graph::GraphData;
-use crate::traits::EdgeApplyKernel;
+use crate::traits::{EdgeApplyKernel, Op};
 
 /// The `u_add_v` SDDMM variant over COO.
 pub struct GnnOneUAddV {
@@ -105,7 +105,7 @@ impl EdgeApplyKernel for GnnOneUAddV {
             ExecModel::Sim => summaries::gnnone_uaddv(self.name(), &self.graph, &cfg),
             ExecModel::Native => summaries::native_edge_out(
                 self.name(),
-                "u-add-v",
+                Op::EdgeApply.as_str(),
                 &self.graph,
                 &GnnOneConfig::default(),
                 1,

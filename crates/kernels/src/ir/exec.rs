@@ -1,7 +1,8 @@
 //! Plan executor: runs a lowered [`Plan`] on either backend.
 //!
-//! Launch steps dispatch through [`Backend`] onto the registry's pipeline
-//! kernels (the IR-derived [`IrFusedGat`]/[`IrUAddV`] plus `GnnOneSddmm`
+//! Launch steps run through the one launch path
+//! ([`Kernel::launch`] on the [`Backend`]'s device) onto the registry's
+//! pipeline kernels (the IR-derived [`IrFusedGat`]/[`IrUAddV`] plus `GnnOneSddmm`
 //! and `GnnOneSpmm` under default config); host fallback steps run on
 //! the CPU. Values move between the two worlds as host vectors — the
 //! executor is a correctness and timing harness for `gnnone-prof fuse`
@@ -13,12 +14,13 @@ use std::sync::Arc;
 use gnnone_sim::{engine::LaunchError, DeviceBuffer};
 
 use super::lower::{Plan, Step};
-use super::{IrGraph, OpKind, Space, ValueId};
+use super::{IrGraph, OpKind, ValueId};
 use crate::backend::{Backend, ExecReport};
 use crate::gnnone::config::GnnOneConfig;
 use crate::gnnone::{GnnOneSddmm, GnnOneSpmm};
 use crate::graph::GraphData;
 use crate::ir::kernels::{IrFusedGat, IrUAddV};
+use crate::traits::Kernel;
 
 /// The values and launch reports produced by [`execute`].
 pub struct ExecResult {
@@ -75,6 +77,63 @@ pub fn host_edge_softmax(graph: &GraphData, logits: &[f32], alpha: &mut [f32]) {
     }
 }
 
+/// A launch step's kernel, staged input operands, feature length and
+/// output values (the signature's outputs, in order).
+type StagedLaunch = (Kernel, Vec<DeviceBuffer<f32>>, usize, Vec<ValueId>);
+
+/// Stages a launch step; `None` for host fallback steps.
+fn staged_launch(
+    step: &Step,
+    graph: &Arc<GraphData>,
+    values: &[Option<Vec<f32>>],
+    f: usize,
+    width: impl Fn(ValueId) -> usize,
+) -> Option<StagedLaunch> {
+    let dev = |id: ValueId| DeviceBuffer::from_slice(values[id.0].as_deref().unwrap());
+    let g = || Arc::clone(graph);
+    let cfg = GnnOneConfig::default();
+    Some(match *step {
+        Step::FusedGat {
+            slope,
+            z,
+            el,
+            er,
+            y,
+            alpha,
+        } => (
+            Kernel::Fused(Box::new(IrFusedGat::new(g(), slope))),
+            vec![dev(z), dev(el), dev(er)],
+            f,
+            [Some(y), alpha].into_iter().flatten().collect(),
+        ),
+        Step::Sddmm { x, y, out } => (
+            Kernel::Sddmm(Box::new(GnnOneSddmm::new(g(), cfg))),
+            vec![dev(x), dev(y)],
+            width(x),
+            vec![out],
+        ),
+        Step::Spmm { w, x, out } => (
+            Kernel::Spmm(Box::new(GnnOneSpmm::new(g(), cfg))),
+            vec![dev(w), dev(x)],
+            width(x),
+            vec![out],
+        ),
+        Step::SpmmOnes { x, out } => (
+            Kernel::Spmm(Box::new(GnnOneSpmm::new(g(), cfg))),
+            vec![DeviceBuffer::from_slice(&vec![1.0f32; graph.nnz()]), dev(x)],
+            width(x),
+            vec![out],
+        ),
+        Step::UAddV { el, er, out } => (
+            Kernel::EdgeApply(Box::new(IrUAddV::new(g()))),
+            vec![dev(el), dev(er)],
+            1,
+            vec![out],
+        ),
+        _ => return None,
+    })
+}
+
 /// Executes `plan` (lowered from `ir`) over `graph` on `backend`.
 ///
 /// `inputs` binds every IR input by id; widths follow the node's
@@ -91,13 +150,9 @@ pub fn execute(
 ) -> Result<ExecResult, LaunchError> {
     let n = graph.num_vertices();
     let nnz = graph.nnz();
-    let rows = |space: Space| match space {
-        Space::Vertex => n,
-        Space::Edge => nnz,
-    };
     let len_of = |id: ValueId| {
         let node = ir.node(id);
-        rows(node.space) * node.dim.len(f)
+        node.space.rows(graph) * node.dim.len(f)
     };
     let width = |id: ValueId| ir.node(id).dim.len(f);
 
@@ -130,79 +185,27 @@ pub fn execute(
     }
 
     let mut reports = Vec::new();
-    let default_cfg = GnnOneConfig::default();
-    // Bound host values → device operands for launch steps.
-    let dev = |values: &[Option<Vec<f32>>], id: ValueId| {
-        DeviceBuffer::from_slice(values[id.0].as_deref().unwrap())
-    };
-
     let mut host_ms = 0.0f64;
     for step in &plan.steps {
-        let host_t = step.kernel().is_none().then(std::time::Instant::now);
+        if let Some((kernel, inputs, k, out_ids)) = staged_launch(step, graph, &values, f, width) {
+            let outputs: Vec<DeviceBuffer<f32>> = kernel
+                .output_lens(k)
+                .take(out_ids.len())
+                .map(DeviceBuffer::zeros)
+                .collect();
+            reports.push(kernel.launch(
+                backend.device(),
+                &inputs.iter().collect::<Vec<_>>(),
+                k,
+                &outputs.iter().collect::<Vec<_>>(),
+            )?);
+            for (id, out) in out_ids.iter().zip(&outputs) {
+                values[id.0] = Some(out.to_vec());
+            }
+            continue;
+        }
+        let host_t = std::time::Instant::now();
         match *step {
-            Step::FusedGat {
-                slope,
-                z,
-                el,
-                er,
-                y,
-                alpha,
-            } => {
-                let kernel = IrFusedGat::new(Arc::clone(graph), slope);
-                let dz = dev(&values, z);
-                let del = dev(&values, el);
-                let der = dev(&values, er);
-                let dy = DeviceBuffer::<f32>::zeros(n * f);
-                let dalpha = alpha.map(|_| DeviceBuffer::<f32>::zeros(nnz));
-                reports.push(backend.run_fused(
-                    &kernel,
-                    &dz,
-                    &del,
-                    &der,
-                    f,
-                    &dy,
-                    dalpha.as_ref(),
-                )?);
-                values[y.0] = Some(dy.to_vec());
-                if let (Some(a), Some(da)) = (alpha, dalpha) {
-                    values[a.0] = Some(da.to_vec());
-                }
-            }
-            Step::Sddmm { x, y, out } => {
-                let kernel = GnnOneSddmm::new(Arc::clone(graph), default_cfg);
-                let k = width(x);
-                let dx = dev(&values, x);
-                let dy = dev(&values, y);
-                let dw = DeviceBuffer::<f32>::zeros(nnz);
-                reports.push(backend.run_sddmm(&kernel, &dx, &dy, k, &dw)?);
-                values[out.0] = Some(dw.to_vec());
-            }
-            Step::Spmm { w, x, out } => {
-                let kernel = GnnOneSpmm::new(Arc::clone(graph), default_cfg);
-                let k = width(x);
-                let dw = dev(&values, w);
-                let dx = dev(&values, x);
-                let dy = DeviceBuffer::<f32>::zeros(n * k);
-                reports.push(backend.run_spmm(&kernel, &dw, &dx, k, &dy)?);
-                values[out.0] = Some(dy.to_vec());
-            }
-            Step::SpmmOnes { x, out } => {
-                let kernel = GnnOneSpmm::new(Arc::clone(graph), default_cfg);
-                let k = width(x);
-                let dw = DeviceBuffer::from_slice(&vec![1.0f32; nnz]);
-                let dx = dev(&values, x);
-                let dy = DeviceBuffer::<f32>::zeros(n * k);
-                reports.push(backend.run_spmm(&kernel, &dw, &dx, k, &dy)?);
-                values[out.0] = Some(dy.to_vec());
-            }
-            Step::UAddV { el, er, out } => {
-                let kernel = IrUAddV::new(Arc::clone(graph));
-                let del = dev(&values, el);
-                let der = dev(&values, er);
-                let dw = DeviceBuffer::<f32>::zeros(nnz);
-                reports.push(backend.run_edge_apply(&kernel, &del, &der, &dw)?);
-                values[out.0] = Some(dw.to_vec());
-            }
             Step::HostLeakyRelu { slope, x, out } => {
                 let xs = values[x.0].as_deref().unwrap();
                 let v: Vec<f32> = xs
@@ -274,10 +277,9 @@ pub fn execute(
                 }
                 values[out.0] = Some(v);
             }
+            _ => unreachable!("launch steps are staged above"),
         }
-        if let Some(t) = host_t {
-            host_ms += t.elapsed().as_secs_f64() * 1e3;
-        }
+        host_ms += host_t.elapsed().as_secs_f64() * 1e3;
     }
     Ok(ExecResult {
         values,

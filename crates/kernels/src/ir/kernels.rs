@@ -23,7 +23,7 @@ use crate::gnnone::fused::{RowSoftmaxGat, LOGIT_CACHE};
 use crate::gnnone::pipeline::{CooNzes, CsrRows, TwoStagePipeline};
 use crate::gnnone::reduce::ScalarGather;
 use crate::graph::GraphData;
-use crate::traits::{EdgeApplyKernel, FusedAttentionKernel};
+use crate::traits::{EdgeApplyKernel, FusedAttentionKernel, Op};
 
 /// The GAT attention chain, lowered from IR into the single
 /// `CsrRows × RowSoftmaxGat` launch.
@@ -249,7 +249,7 @@ impl EdgeApplyKernel for IrUAddV {
             ExecModel::Sim => summaries::gnnone_uaddv(self.name(), &self.graph, &cfg),
             ExecModel::Native => summaries::native_edge_out(
                 self.name(),
-                "u-add-v",
+                Op::EdgeApply.as_str(),
                 &self.graph,
                 &GnnOneConfig::default(),
                 1,

@@ -59,6 +59,8 @@ pub use lower::{lower, LowerOptions, Plan, Step};
 
 use std::fmt;
 
+use crate::graph::GraphData;
+
 /// The space an IR value lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Space {
@@ -74,6 +76,14 @@ impl Space {
         match self {
             Space::Vertex => "vertex",
             Space::Edge => "edge",
+        }
+    }
+
+    /// Rows of this space over `graph`: `|V|` or `|E|`.
+    pub fn rows(self, graph: &GraphData) -> usize {
+        match self {
+            Space::Vertex => graph.num_vertices(),
+            Space::Edge => graph.nnz(),
         }
     }
 }

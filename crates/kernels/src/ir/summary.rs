@@ -16,7 +16,7 @@ use crate::gnnone::config::{GnnOneConfig, Schedule};
 use crate::gnnone::fused::LOGIT_CACHE;
 use crate::gnnone::{GnnOneSddmm, GnnOneSpmm};
 use crate::graph::GraphData;
-use crate::traits::{SddmmKernel, SpmmKernel};
+use crate::traits::{Op, SddmmKernel, SpmmKernel};
 
 /// The summary of one lowered step under `model` at feature length `f`,
 /// or `None` for host fallback steps (no device launch to verify).
@@ -42,7 +42,7 @@ pub fn step_summary(
                 ExecModel::Sim => summaries::gnnone_uaddv("GnnOne-UAddV", graph, &cfg),
                 ExecModel::Native => summaries::native_edge_out(
                     "GnnOne-UAddV",
-                    "u-add-v",
+                    Op::EdgeApply.as_str(),
                     graph,
                     &GnnOneConfig::default(),
                     1,

@@ -15,8 +15,8 @@
 //!   GE-SpMM, cuSPARSE, GNNAdvisor, Huang et al., Yang et al., FeatGraph
 //!   (SpMM); Merge-SpMV (SpMV) — each with its published storage format,
 //!   parallelization strategy and known pathologies.
-//! * [`traits`] — the `SpmmKernel` / `SddmmKernel` / `SpmvKernel` object
-//!   interfaces the benchmark harness drives.
+//! * [`traits`] — the five kernel-family object interfaces and the
+//!   family-tagged [`Kernel`] with its one launch path.
 //! * [`geometry`] — thread-group geometry shared by all kernels.
 //! * [`graph`] — device-resident graph tensors ([`GraphData`]).
 //! * [`ir`] — the fusion IR: edge/vertex dataflow graphs verified for
@@ -80,6 +80,6 @@ pub mod sanitize;
 pub mod shard;
 pub mod traits;
 
-pub use backend::{Backend, BackendKind, ExecReport, NativeEngine, NativeReport};
+pub use backend::{Backend, BackendKind, Device, ExecReport, NativeEngine, NativeReport};
 pub use graph::GraphData;
-pub use traits::{SddmmKernel, SpmmKernel, SpmvKernel};
+pub use traits::{Kernel, Op, SddmmKernel, SpmmKernel, SpmvKernel};

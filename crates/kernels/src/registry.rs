@@ -3,6 +3,8 @@
 
 use std::sync::Arc;
 
+use gnnone_sim::{DeviceBuffer, GnnOneError};
+
 use crate::baselines::{
     CusparseSddmm, CusparseSpmm, DaltonSpmv, DgSparseSddmm, DglSddmm, FeatGraphSddmm,
     FeatGraphSpmm, GeSpmm, GnnAdvisorSpmm, HuangSpmm, MergeSpmv, RowBinningSpmm, SputnikSddmm,
@@ -11,7 +13,9 @@ use crate::baselines::{
 use crate::gnnone::{GnnOneConfig, GnnOneCsrSpmm, GnnOneSddmm, GnnOneSpmm, GnnOneSpmv};
 use crate::graph::GraphData;
 use crate::ir::{IrFusedGat, IrUAddV};
-use crate::traits::{EdgeApplyKernel, FusedAttentionKernel, SddmmKernel, SpmmKernel, SpmvKernel};
+use crate::traits::{
+    EdgeApplyKernel, FusedAttentionKernel, Kernel, Op, SddmmKernel, SpmmKernel, SpmvKernel,
+};
 
 /// All SDDMM systems of Fig. 3, GNNOne first.
 pub fn sddmm_kernels(graph: &Arc<GraphData>) -> Vec<Box<dyn SddmmKernel>> {
@@ -112,41 +116,92 @@ pub fn sddmm_ablation_kernels(graph: &Arc<GraphData>) -> Vec<(&'static str, GnnO
     ]
 }
 
-/// Looks up one SDDMM system by its figure label.
-pub fn sddmm_by_name(graph: &Arc<GraphData>, name: &str) -> Option<Box<dyn SddmmKernel>> {
-    sddmm_kernels(graph)
+/// Every registry kernel — all 21, in the row order of
+/// `BENCH_NATIVE.json`: the Fig. 3 SDDMMs, the Fig. 4 SpMMs, the
+/// discussion and format-study SpMMs, the SpMV classes, edge-apply, fused.
+pub fn all(graph: &Arc<GraphData>) -> Vec<Kernel> {
+    let mut kernels: Vec<Kernel> = sddmm_kernels(graph)
         .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
+        .map(Kernel::Sddmm)
+        .collect();
+    kernels.extend(
+        spmm_kernels(graph)
+            .into_iter()
+            .chain(spmm_discussion_kernels(graph))
+            .chain(spmm_format_kernels(graph))
+            .map(Kernel::Spmm),
+    );
+    kernels.extend(spmv_class_kernels(graph).into_iter().map(Kernel::Spmv));
+    kernels.extend(edge_apply_kernels(graph).into_iter().map(Kernel::EdgeApply));
+    kernels.extend(fused_kernels(graph).into_iter().map(Kernel::Fused));
+    kernels
 }
 
-/// Looks up one SpMM system by its figure label.
-pub fn spmm_by_name(graph: &Arc<GraphData>, name: &str) -> Option<Box<dyn SpmmKernel>> {
-    spmm_kernels(graph)
+/// Looks up one registry kernel by family and name (case-insensitive).
+/// Names are unique within a family; `"GnnOne"`, for one, names the
+/// SDDMM, SpMM and SpMV kernels.
+pub fn by_name(graph: &Arc<GraphData>, op: Op, name: &str) -> Option<Kernel> {
+    all(graph)
         .into_iter()
-        .chain(spmm_discussion_kernels(graph))
-        .chain(spmm_format_kernels(graph))
-        .find(|k| k.name().eq_ignore_ascii_case(name))
+        .find(|k| k.op() == op && k.is_named(name))
 }
 
-/// Looks up one SpMV-class system by its figure label.
-pub fn spmv_by_name(graph: &Arc<GraphData>, name: &str) -> Option<Box<dyn SpmvKernel>> {
-    spmv_class_kernels(graph)
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
+/// Checks a `--kernels` filter: every name must be some registry
+/// kernel's (matched as [`by_name`] matches), so a typo fails fast
+/// instead of passing as an empty sweep.
+pub fn check_filter(graph: &Arc<GraphData>, names: &[String]) -> Result<(), GnnOneError> {
+    let kernels = all(graph);
+    match names
+        .iter()
+        .find(|name| !kernels.iter().any(|k| k.is_named(name)))
+    {
+        Some(name) => Err(GnnOneError::Config {
+            detail: format!("unknown kernel name in --kernels: {name}"),
+        }),
+        None => Ok(()),
+    }
 }
 
-/// Looks up one edge-apply variant by its registry name.
-pub fn edge_apply_by_name(graph: &Arc<GraphData>, name: &str) -> Option<Box<dyn EdgeApplyKernel>> {
-    edge_apply_kernels(graph)
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
+/// One value per input role of the registry-wide sweeps (sanitize, fuzz,
+/// chaos, shard), wired to each family the same way in all of them.
+#[derive(Debug)]
+pub struct SweepInputs<T> {
+    /// Vertex features (`|V| × f`): SDDMM's `x`, SpMM's `x`.
+    pub x: T,
+    /// Vertex features (`|V| × f`): SDDMM's `y`, fused `z`.
+    pub z: T,
+    /// Edge values (`|E|`): SpMM and SpMV weights.
+    pub w: T,
+    /// Scalar vertex operand (`|V|`): SpMV's `x`, edge-apply/fused `el`.
+    pub el: T,
+    /// Scalar vertex operand (`|V|`): edge-apply/fused `er`.
+    pub er: T,
 }
 
-/// Looks up one fused-attention kernel by its registry name.
-pub fn fused_by_name(graph: &Arc<GraphData>, name: &str) -> Option<Box<dyn FusedAttentionKernel>> {
-    fused_kernels(graph)
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
+impl<T> SweepInputs<T> {
+    /// The inputs an `op` kernel reads, in signature order.
+    pub fn for_op(&self, op: Op) -> Vec<&T> {
+        match op {
+            Op::Sddmm => vec![&self.x, &self.z],
+            Op::Spmm => vec![&self.w, &self.x],
+            Op::Spmv => vec![&self.w, &self.el],
+            Op::EdgeApply => vec![&self.el, &self.er],
+            Op::Fused => vec![&self.z, &self.el, &self.er],
+        }
+    }
+}
+
+impl SweepInputs<Vec<f32>> {
+    /// Uploads every role to a device buffer.
+    pub fn upload(&self) -> SweepInputs<DeviceBuffer<f32>> {
+        SweepInputs {
+            x: DeviceBuffer::from_slice(&self.x),
+            z: DeviceBuffer::from_slice(&self.z),
+            w: DeviceBuffer::from_slice(&self.w),
+            el: DeviceBuffer::from_slice(&self.el),
+            er: DeviceBuffer::from_slice(&self.er),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -218,15 +273,70 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_twenty_one_unique_kernels_covering_every_figure_list() {
+        let g = graph();
+        let all = all(&g);
+        let ids: Vec<(Op, &str)> = all.iter().map(|k| (k.op(), k.name())).collect();
+        assert_eq!(ids.len(), 21);
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "{id:?} listed twice");
+        }
+        // Families appear in `BENCH_NATIVE.json` row order.
+        let mut ops: Vec<Op> = ids.iter().map(|&(op, _)| op).collect();
+        ops.dedup();
+        assert_eq!(
+            ops,
+            [Op::Sddmm, Op::Spmm, Op::Spmv, Op::EdgeApply, Op::Fused]
+        );
+        let figure_lists: Vec<Vec<Kernel>> = vec![
+            sddmm_kernels(&g).into_iter().map(Kernel::Sddmm).collect(),
+            spmm_kernels(&g).into_iter().map(Kernel::Spmm).collect(),
+            spmm_discussion_kernels(&g)
+                .into_iter()
+                .map(Kernel::Spmm)
+                .collect(),
+            spmm_format_kernels(&g)
+                .into_iter()
+                .map(Kernel::Spmm)
+                .collect(),
+            spmv_kernels(&g).into_iter().map(Kernel::Spmv).collect(),
+            spmv_class_kernels(&g)
+                .into_iter()
+                .map(Kernel::Spmv)
+                .collect(),
+            edge_apply_kernels(&g)
+                .into_iter()
+                .map(Kernel::EdgeApply)
+                .collect(),
+            fused_kernels(&g).into_iter().map(Kernel::Fused).collect(),
+        ];
+        for k in figure_lists.iter().flatten() {
+            assert!(
+                ids.contains(&(k.op(), k.name())),
+                "{} not in all()",
+                k.name()
+            );
+        }
+    }
+
+    #[test]
     fn lookup_by_name() {
         let g = graph();
-        assert!(sddmm_by_name(&g, "sputnik").is_some());
-        assert!(spmm_by_name(&g, "Yang et al.").is_some());
-        assert!(spmm_by_name(&g, "gnnone-csr").is_some());
-        assert!(spmm_by_name(&g, "nope").is_none());
-        assert!(edge_apply_by_name(&g, "gnnone-uaddv").is_some());
-        assert!(edge_apply_by_name(&g, "nope").is_none());
-        assert!(fused_by_name(&g, "fusedgat").is_some());
-        assert!(fused_by_name(&g, "nope").is_none());
+        for k in all(&g) {
+            for spelling in [k.name().to_string(), k.name().to_ascii_lowercase()] {
+                let found = by_name(&g, k.op(), &spelling).expect("registry kernel");
+                assert_eq!((found.op(), found.name()), (k.op(), k.name()));
+            }
+        }
+        assert_eq!(
+            by_name(&g, Op::Spmm, "yang et al.").unwrap().name(),
+            "Yang et al."
+        );
+        assert!(by_name(&g, Op::Sddmm, "Yang et al.").is_none());
+        assert!(by_name(&g, Op::Fused, "nope").is_none());
+        assert!(check_filter(&g, &["fusedgat".into(), "Dalton et al.".into()]).is_ok());
+        let err = check_filter(&g, &["GnnOne".into(), "NoSuchKernel".into()]).unwrap_err();
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("NoSuchKernel"), "{err}");
     }
 }

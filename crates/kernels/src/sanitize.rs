@@ -10,23 +10,23 @@
 //! deterministically from the graph shape so two sweeps over the same
 //! graph audit identical executions.
 //!
-//! Kernels are allowed to decline a launch ([`LaunchError`], e.g. a CTA
+//! Kernels are allowed to decline a launch (a `LaunchError`, e.g. a CTA
 //! shape the spec cannot host) — that is recorded as a skip, not a finding.
 
 use std::sync::Arc;
 
-use gnnone_sim::engine::LaunchError;
 use gnnone_sim::{DeviceBuffer, Gpu, SanitizeConfig, Sanitizer};
 
+use crate::backend::Device;
 use crate::graph::GraphData;
-use crate::registry;
+use crate::registry::{self, SweepInputs};
 
 /// Outcome of sweeping one kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelSweep {
     /// Kernel name (figure label, or the standalone kernel's name).
     pub name: String,
-    /// Operation family: "sddmm", "spmm", "spmv", "fused", "u-add-v".
+    /// Operation family ([`crate::traits::Op::as_str`]).
     pub op: &'static str,
     /// Storage format the kernel consumes.
     pub format: &'static str,
@@ -64,75 +64,41 @@ pub fn sweep_graph(gpu: &Gpu, graph: &Arc<GraphData>, f: usize) -> Vec<KernelSwe
         None => gpu.enable_sanitizer(SanitizeConfig::on()),
     };
     let nv = graph.num_vertices();
-    let nnz = graph.nnz();
-    let dx = DeviceBuffer::from_slice(&features(nv * f, 1));
-    let dz = DeviceBuffer::from_slice(&features(nv * f, 2));
-    let dw = DeviceBuffer::from_slice(&features(nnz, 3));
-    let del = DeviceBuffer::from_slice(&features(nv, 4));
-    let der = DeviceBuffer::from_slice(&features(nv, 5));
-    let dy = DeviceBuffer::<f32>::zeros(nv * f);
-    let dwe = DeviceBuffer::<f32>::zeros(nnz);
-    let dyv = DeviceBuffer::<f32>::zeros(nv);
-    let dalpha = DeviceBuffer::<f32>::zeros(nnz);
-
-    let mut out = Vec::new();
-    let mut record = |name: &str,
-                      op: &'static str,
-                      format: &'static str,
-                      before: u64,
-                      result: Result<(), LaunchError>| {
-        out.push(KernelSweep {
-            name: name.to_string(),
-            op,
-            format,
-            skipped: result.err().map(|e| e.to_string()),
-            findings: san.finding_count() - before,
-        });
-    };
-
-    for k in registry::sddmm_kernels(graph) {
-        let before = san.finding_count();
-        let r = k.run(gpu, &dx, &dz, f, &dwe).map(drop);
-        record(k.name(), "sddmm", k.format(), before, r);
+    let inputs = SweepInputs {
+        x: features(nv * f, 1),
+        z: features(nv * f, 2),
+        w: features(graph.nnz(), 3),
+        el: features(nv, 4),
+        er: features(nv, 5),
     }
-
-    for k in registry::spmm_kernels(graph)
+    .upload();
+    registry::all(graph)
         .into_iter()
-        .chain(registry::spmm_discussion_kernels(graph))
-        .chain(registry::spmm_format_kernels(graph))
-    {
-        dy.fill_default();
-        let before = san.finding_count();
-        let r = k.run(gpu, &dw, &dx, f, &dy).map(drop);
-        record(k.name(), "spmm", k.format(), before, r);
-    }
-
-    for k in registry::spmv_class_kernels(graph) {
-        dyv.fill_default();
-        let before = san.finding_count();
-        let r = k.run(gpu, &dw, &del, &dyv).map(drop);
-        record(k.name(), "spmv", k.format(), before, r);
-    }
-
-    for k in registry::fused_kernels(graph) {
-        dy.fill_default();
-        let before = san.finding_count();
-        let r = k.run(gpu, &dz, &del, &der, f, &dy, Some(&dalpha)).map(drop);
-        record(k.name(), "fused", k.format(), before, r);
-    }
-
-    for k in registry::edge_apply_kernels(graph) {
-        let before = san.finding_count();
-        let r = k.run(gpu, &del, &der, &dwe).map(drop);
-        record(k.name(), "u-add-v", k.format(), before, r);
-    }
-
-    out
+        .map(|k| {
+            let outputs: Vec<DeviceBuffer<f32>> =
+                k.output_lens(f).map(DeviceBuffer::zeros).collect();
+            let before = san.finding_count();
+            let result = k.launch(
+                Device::Sim(gpu),
+                &inputs.for_op(k.op()),
+                f,
+                &outputs.iter().collect::<Vec<_>>(),
+            );
+            KernelSweep {
+                name: k.name().to_string(),
+                op: k.op().as_str(),
+                format: k.format(),
+                skipped: result.err().map(|e| e.to_string()),
+                findings: san.finding_count() - before,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::Op;
     use gnnone_sim::GpuSpec;
     use gnnone_sparse::formats::Coo;
     use gnnone_sparse::gen;
@@ -143,10 +109,13 @@ mod tests {
         let g = Arc::new(GraphData::new(Coo::from_edge_list(&el)));
         let gpu = Gpu::new(GpuSpec::tiny());
         let a = sweep_graph(&gpu, &g, 8);
-        for op in ["sddmm", "spmm", "spmv", "fused", "u-add-v"] {
-            assert!(a.iter().any(|s| s.op == op), "missing family {op}");
+        for op in [Op::Sddmm, Op::Spmm, Op::Spmv, Op::EdgeApply, Op::Fused] {
+            assert!(
+                a.iter().any(|s| s.op == op.as_str()),
+                "missing family {op:?}"
+            );
         }
-        assert!(a.len() >= 12, "only {} kernels swept", a.len());
+        assert_eq!(a.len(), 21, "only {} kernels swept", a.len());
         // A second sweep on a fresh GPU/sanitizer sees identical verdicts.
         let gpu2 = Gpu::new(GpuSpec::tiny());
         let b = sweep_graph(&gpu2, &g, 8);

@@ -29,9 +29,9 @@
 //!    re-executes earlier shards.
 //!
 //! On failure the loop backs off deterministically
-//! (`backoff_base_ms << (attempt-1)`, the same schedule as
-//! `SweepGuard::with_policy`, plus an optional seeded splitmix64 jitter
-//! that is itself reproducible) and retries **only the failed shard**, up to
+//! ([`RetryPolicy::backoff_ms`], the same policy `SweepGuard` runs whole
+//! sweep cells under, plus an optional seeded splitmix64 jitter that is
+//! itself reproducible) and retries **only the failed shard**, up to
 //! [`RetryPolicy::max_attempts`]. Exhausted retries surface as
 //! [`GnnOneError::ShardAbort`] carrying the shard, attempt count,
 //! checkpointed-shard count, and armed fault — a typed partial-result
@@ -49,11 +49,12 @@ use gnnone_sim::{
 };
 use gnnone_sparse::RowPartition;
 
-use crate::backend::{BackendKind, NativeEngine};
+use crate::backend::{BackendKind, Device, NativeEngine};
 use crate::graph::GraphData;
+use crate::ir::Space;
 use crate::shard::verify::{verify_merge, MergeTarget};
 use crate::shard::{halo_vertices, partition_graph, shard_graphs};
-use crate::traits::{EdgeApplyKernel, FusedAttentionKernel, SddmmKernel, SpmmKernel, SpmvKernel};
+use crate::traits::{Kernel, SddmmKernel, Signature, SpmmKernel};
 
 /// Where shards execute: K simulated devices joined by a modeled
 /// interconnect, or per-shard rayon pools on the native CPU backend.
@@ -103,6 +104,14 @@ impl ShardTopology {
         }
     }
 
+    /// The device shard `s` launches on.
+    pub fn device(&self, s: usize) -> Device<'_> {
+        match self {
+            ShardTopology::Sim(m) => Device::Sim(m.device(s % m.num_devices())),
+            ShardTopology::Native(e) => Device::Native(&e[s % e.len()]),
+        }
+    }
+
     /// The simulated topology, when this is one (for transfer accounting).
     pub fn as_multi_gpu(&self) -> Option<&MultiGpu> {
         match self {
@@ -113,9 +122,9 @@ impl ShardTopology {
 }
 
 /// Bounded deterministic retry: up to `max_attempts` tries per shard with
-/// backoff `backoff_base_ms << (attempt - 1)` between them — the same
-/// schedule `SweepGuard::with_policy` applies to whole sweep cells,
-/// generalized to individual shards. An optional seeded jitter term
+/// backoff `backoff_base_ms << (attempt - 1)` between them — the one retry
+/// ladder of the system, applied to individual shards here and to whole
+/// sweep cells by `SweepGuard`. An optional seeded jitter term
 /// (splitmix64, the same expander the chaos engine uses for targeting)
 /// decorrelates concurrent retries while keeping the full schedule
 /// reproducible: identical `(seed, attempt)` pairs always yield the same
@@ -261,19 +270,6 @@ struct FirePlan {
     target: usize,
     fired: bool,
 }
-
-/// One shard launch's raw outputs before merging.
-struct ShardOutputs {
-    /// Full-length (`num_rows · width`) row output; only owned rows merge.
-    rows: Option<Vec<f32>>,
-    /// Shard-local (`shard nnz`) edge output; merges into the owned range.
-    edges: Option<Vec<f32>>,
-}
-
-type ShardLaunch<'a> = dyn Fn(usize, &[Vec<f32>]) -> Result<(ShardOutputs, f64), LaunchError> + 'a;
-
-/// A supervised run's merged row output, merged edge output, and report.
-type ShardedRun = (Option<Vec<f32>>, Option<Vec<f32>>, ShardedReport);
 
 /// Runs any registry kernel shard-by-shard over a validated row-aligned
 /// partition with supervised fault recovery. See the module docs for the
@@ -525,27 +521,32 @@ impl ShardedExecutor {
         out
     }
 
-    /// The supervision loop shared by every kernel family. `vertex_ops`
-    /// are the vertex-indexed operands (data, per-row width) to halo-
-    /// exchange and rebuild per shard; `out_rows_width` requests a merged
-    /// row output of that width; `out_edges` requests a merged edge
-    /// output. `launch` runs one shard given its rebuilt operands.
-    fn run_sharded(
+    /// Runs any registry kernel sharded. `make` builds the kernel over a
+    /// shard graph; `inputs` follow its [`Signature`]: vertex operands are
+    /// halo-exchanged at their width, edge operands sliced to each shard's
+    /// edge range. Returns every signature output merged — vertex outputs
+    /// by owned row, edge outputs by edge range (the fused kernel's α is
+    /// always produced) — and the run report.
+    pub fn run(
         &self,
-        kernel: &str,
-        vertex_ops: &[(&[f32], usize)],
-        out_rows_width: Option<usize>,
-        out_edges: bool,
-        launch: &ShardLaunch,
-    ) -> Result<ShardedRun, GnnOneError> {
+        make: &dyn Fn(&Arc<GraphData>) -> Kernel,
+        inputs: &[&[f32]],
+        f: usize,
+    ) -> Result<(Vec<Vec<f32>>, ShardedReport), GnnOneError> {
+        let kernel = make(&self.shard_graphs[0]);
+        let (name, sig) = (kernel.name(), kernel.signature());
+        self.check_len("inputs", inputs.len(), sig.inputs.len())?;
+        for (i, (data, &(space, dim))) in inputs.iter().zip(sig.inputs).enumerate() {
+            let want = space.rows(&self.graph) * dim.len(f);
+            self.check_len(&format!("input #{i}"), data.len(), want)?;
+        }
         let k = self.partition.num_shards();
-        let mut report = ShardedReport::new(kernel, k);
-        let mut rows_out = out_rows_width.map(|w| vec![0.0f32; self.num_rows() * w]);
-        let mut edges_out = if out_edges {
-            Some(vec![0.0f32; self.partition.nnz()])
-        } else {
-            None
-        };
+        let mut report = ShardedReport::new(name, k);
+        let mut merged: Vec<Vec<f32>> = sig
+            .outputs
+            .iter()
+            .map(|&(space, dim)| vec![0.0f32; space.rows(&self.graph) * dim.len(f)])
+            .collect();
         let mut plan = self.fire_plan();
         let mut completed = 0u64;
         for s in 0..k {
@@ -564,30 +565,33 @@ impl ShardedExecutor {
                 let mut t_ms = 0.0f64;
                 let mut t_bytes = 0u64;
                 let outcome = self.attempt_shard(
-                    kernel,
+                    make,
+                    (name, sig),
+                    inputs,
+                    f,
                     s,
-                    attempt,
-                    vertex_ops,
                     &mut plan,
-                    &mut t_ms,
-                    &mut t_bytes,
+                    (&mut t_ms, &mut t_bytes),
                     &mut report.launches[s],
-                    launch,
                 );
                 match outcome {
                     Ok((outputs, ms)) => {
                         report.compute_ms += ms;
                         report.transfer_ms += t_ms;
                         report.transfer_bytes += t_bytes;
-                        if let (Some(dst), Some(src), Some(w)) =
-                            (rows_out.as_mut(), outputs.rows.as_ref(), out_rows_width)
+                        for ((dst, src), &(space, dim)) in
+                            merged.iter_mut().zip(&outputs).zip(sig.outputs)
                         {
-                            dst[spec.row_start * w..spec.row_end * w]
-                                .copy_from_slice(&src[spec.row_start * w..spec.row_end * w]);
-                        }
-                        if let (Some(dst), Some(src)) = (edges_out.as_mut(), outputs.edges.as_ref())
-                        {
-                            dst[spec.edge_start..spec.edge_end].copy_from_slice(src);
+                            let w = dim.len(f);
+                            match space {
+                                Space::Vertex => {
+                                    let rows = spec.row_start * w..spec.row_end * w;
+                                    dst[rows.clone()].copy_from_slice(&src[rows]);
+                                }
+                                Space::Edge => {
+                                    dst[spec.edge_start * w..spec.edge_end * w].copy_from_slice(src)
+                                }
+                            }
                         }
                         completed += 1;
                         break;
@@ -595,7 +599,7 @@ impl ShardedExecutor {
                     Err(err) => {
                         if attempt >= self.policy.max_attempts {
                             return Err(GnnOneError::ShardAbort(ShardAbort {
-                                kernel: kernel.to_string(),
+                                kernel: name.to_string(),
                                 shard: s as u64,
                                 shards: k as u64,
                                 attempts: u64::from(attempt),
@@ -621,25 +625,25 @@ impl ShardedExecutor {
             }
         }
         report.time_ms = report.compute_ms + report.transfer_ms;
-        Ok((rows_out, edges_out, report))
+        Ok((merged, report))
     }
 
     /// One supervised attempt at one shard: fault consult → halo gather →
     /// operand rebuild → launch → kill/stall injection → deadline check.
+    /// Returns the shard's raw outputs (vertex outputs full-length, edge
+    /// outputs shard-local) and its kernel time.
     #[allow(clippy::too_many_arguments)]
     fn attempt_shard(
         &self,
-        kernel: &str,
+        make: &dyn Fn(&Arc<GraphData>) -> Kernel,
+        (name, sig): (&str, Signature),
+        inputs: &[&[f32]],
+        f: usize,
         s: usize,
-        attempt: u32,
-        vertex_ops: &[(&[f32], usize)],
         plan: &mut Option<FirePlan>,
-        transfer_ms: &mut f64,
-        transfer_bytes: &mut u64,
+        (transfer_ms, transfer_bytes): (&mut f64, &mut u64),
         launches: &mut u32,
-        launch: &ShardLaunch,
-    ) -> Result<(ShardOutputs, f64), GnnOneError> {
-        let _ = attempt;
+    ) -> Result<(Vec<Vec<f32>>, f64), GnnOneError> {
         if let Some(p) = plan.as_mut() {
             if p.kind == ShardFaultKind::TransientShardLaunch && p.target == s && !p.fired {
                 p.fired = true;
@@ -648,13 +652,39 @@ impl ShardedExecutor {
                 }));
             }
         }
-        let mut rebuilt = Vec::with_capacity(vertex_ops.len());
-        for &(data, width) in vertex_ops {
-            let halo_data = self.gather_halo(s, data, width, plan, transfer_ms, transfer_bytes)?;
-            rebuilt.push(self.rebuild_operand(s, data, width, &halo_data));
+        let spec = self.partition.shards()[s];
+        let mut rebuilt = Vec::with_capacity(inputs.len());
+        for (&data, &(space, dim)) in inputs.iter().zip(sig.inputs) {
+            if space == Space::Vertex {
+                let w = dim.len(f);
+                let halo_data = self.gather_halo(s, data, w, plan, transfer_ms, transfer_bytes)?;
+                rebuilt.push(self.rebuild_operand(s, data, w, &halo_data));
+            }
         }
         *launches += 1;
-        let (outputs, mut ms) = launch(s, &rebuilt).map_err(GnnOneError::from)?;
+        let kernel = make(&self.shard_graphs[s]);
+        let mut rebuilt = rebuilt.iter();
+        let staged: Vec<DeviceBuffer<f32>> = inputs
+            .iter()
+            .zip(sig.inputs)
+            .map(|(&data, &(space, dim))| match space {
+                Space::Vertex => DeviceBuffer::from_slice(rebuilt.next().expect("rebuilt")),
+                Space::Edge => {
+                    let w = dim.len(f);
+                    DeviceBuffer::from_slice(&data[spec.edge_start * w..spec.edge_end * w])
+                }
+            })
+            .collect();
+        let outputs: Vec<DeviceBuffer<f32>> =
+            kernel.output_lens(f).map(DeviceBuffer::zeros).collect();
+        let mut ms = kernel
+            .launch(
+                self.topology.device(s),
+                &staged.iter().collect::<Vec<_>>(),
+                f,
+                &outputs.iter().collect::<Vec<_>>(),
+            )?
+            .time_ms;
         if let Some(p) = plan.as_mut() {
             if p.target == s && !p.fired {
                 match p.kind {
@@ -663,7 +693,7 @@ impl ShardedExecutor {
                         // The device died mid-launch: work happened, output
                         // is lost, the supervisor sees a structured abort.
                         return Err(GnnOneError::Abort(KernelAbort {
-                            kernel: kernel.to_string(),
+                            kernel: name.to_string(),
                             warp_id: s as u64,
                             ops: 0,
                             budget: 0,
@@ -683,60 +713,17 @@ impl ShardedExecutor {
         }
         if ms > self.deadline_ms {
             return Err(GnnOneError::Abort(KernelAbort {
-                kernel: kernel.to_string(),
+                kernel: name.to_string(),
                 warp_id: s as u64,
                 ops: ms as u64,
                 budget: self.deadline_ms as u64,
                 reason: AbortReason::Watchdog,
             }));
         }
-        Ok((outputs, ms))
+        Ok((outputs.iter().map(DeviceBuffer::to_vec).collect(), ms))
     }
 
-    /// Runs an SpMM kernel (`y ← A·X` with edge weights) sharded:
-    /// `edge_vals` is `|E|`, `x` is `|V| × f` row-major. Returns the
-    /// merged `|V| × f` output and the run report.
-    pub fn run_spmm(
-        &self,
-        make: &dyn Fn(&Arc<GraphData>) -> Box<dyn SpmmKernel>,
-        edge_vals: &[f32],
-        x: &[f32],
-        f: usize,
-    ) -> Result<(Vec<f32>, ShardedReport), GnnOneError> {
-        self.check_len("edge_vals", edge_vals.len(), self.graph.nnz())?;
-        self.check_len("x", x.len(), self.num_rows() * f)?;
-        let name = make(&self.shard_graphs[0]).name();
-        let launch = move |s: usize, ops: &[Vec<f32>]| {
-            let spec = self.partition.shards()[s];
-            let kernel = make(&self.shard_graphs[s]);
-            let dw = DeviceBuffer::from_slice(&edge_vals[spec.edge_start..spec.edge_end]);
-            let dx = DeviceBuffer::from_slice(&ops[0]);
-            let dy = DeviceBuffer::<f32>::zeros(self.num_rows() * f);
-            let ms = match &self.topology {
-                ShardTopology::Sim(multi) => {
-                    let gpu = multi.device(s % multi.num_devices());
-                    kernel.run(gpu, &dw, &dx, f, &dy)?.time_ms
-                }
-                ShardTopology::Native(engines) => {
-                    kernel
-                        .run_native(&engines[s % engines.len()], &dw, &dx, f, &dy)?
-                        .time_ms
-                }
-            };
-            Ok((
-                ShardOutputs {
-                    rows: Some(dy.to_vec()),
-                    edges: None,
-                },
-                ms,
-            ))
-        };
-        let (rows, _, report) = self.run_sharded(name, &[(x, f)], Some(f), false, &launch)?;
-        Ok((rows.expect("row output requested"), report))
-    }
-
-    /// Runs an SDDMM kernel (`w ← A ⊙ (X·Yᵀ)`) sharded: `x` and `y` are
-    /// `|V| × f` row-major. Returns the merged `|E|` edge scores.
+    /// Runs an SDDMM kernel sharded; a forward into [`Self::run`].
     pub fn run_sddmm(
         &self,
         make: &dyn Fn(&Arc<GraphData>) -> Box<dyn SddmmKernel>,
@@ -744,177 +731,20 @@ impl ShardedExecutor {
         y: &[f32],
         f: usize,
     ) -> Result<(Vec<f32>, ShardedReport), GnnOneError> {
-        self.check_len("x", x.len(), self.num_rows() * f)?;
-        self.check_len("y", y.len(), self.num_rows() * f)?;
-        let name = make(&self.shard_graphs[0]).name();
-        let launch = move |s: usize, ops: &[Vec<f32>]| {
-            let spec = self.partition.shards()[s];
-            let kernel = make(&self.shard_graphs[s]);
-            let dx = DeviceBuffer::from_slice(&ops[0]);
-            let dy = DeviceBuffer::from_slice(&ops[1]);
-            let dw = DeviceBuffer::<f32>::zeros(spec.nnz());
-            let ms = match &self.topology {
-                ShardTopology::Sim(multi) => {
-                    let gpu = multi.device(s % multi.num_devices());
-                    kernel.run(gpu, &dx, &dy, f, &dw)?.time_ms
-                }
-                ShardTopology::Native(engines) => {
-                    kernel
-                        .run_native(&engines[s % engines.len()], &dx, &dy, f, &dw)?
-                        .time_ms
-                }
-            };
-            Ok((
-                ShardOutputs {
-                    rows: None,
-                    edges: Some(dw.to_vec()),
-                },
-                ms,
-            ))
-        };
-        let (_, edges, report) = self.run_sharded(name, &[(x, f), (y, f)], None, true, &launch)?;
-        Ok((edges.expect("edge output requested"), report))
+        let (mut outputs, report) = self.run(&|g| Kernel::Sddmm(make(g)), &[x, y], f)?;
+        Ok((outputs.remove(0), report))
     }
 
-    /// Runs an SpMV-class kernel (`y ← A·x`, scalar features) sharded.
-    pub fn run_spmv(
+    /// Runs an SpMM kernel sharded; a forward into [`Self::run`].
+    pub fn run_spmm(
         &self,
-        make: &dyn Fn(&Arc<GraphData>) -> Box<dyn SpmvKernel>,
+        make: &dyn Fn(&Arc<GraphData>) -> Box<dyn SpmmKernel>,
         edge_vals: &[f32],
         x: &[f32],
-    ) -> Result<(Vec<f32>, ShardedReport), GnnOneError> {
-        self.check_len("edge_vals", edge_vals.len(), self.graph.nnz())?;
-        self.check_len("x", x.len(), self.num_rows())?;
-        let name = make(&self.shard_graphs[0]).name();
-        let launch = move |s: usize, ops: &[Vec<f32>]| {
-            let spec = self.partition.shards()[s];
-            let kernel = make(&self.shard_graphs[s]);
-            let dw = DeviceBuffer::from_slice(&edge_vals[spec.edge_start..spec.edge_end]);
-            let dx = DeviceBuffer::from_slice(&ops[0]);
-            let dy = DeviceBuffer::<f32>::zeros(self.num_rows());
-            let ms = match &self.topology {
-                ShardTopology::Sim(multi) => {
-                    let gpu = multi.device(s % multi.num_devices());
-                    kernel.run(gpu, &dw, &dx, &dy)?.time_ms
-                }
-                ShardTopology::Native(engines) => {
-                    kernel
-                        .run_native(&engines[s % engines.len()], &dw, &dx, &dy)?
-                        .time_ms
-                }
-            };
-            Ok((
-                ShardOutputs {
-                    rows: Some(dy.to_vec()),
-                    edges: None,
-                },
-                ms,
-            ))
-        };
-        let (rows, _, report) = self.run_sharded(name, &[(x, 1)], Some(1), false, &launch)?;
-        Ok((rows.expect("row output requested"), report))
-    }
-
-    /// Runs an edge-apply kernel (`w[e] ← el[row] + er[col]`) sharded.
-    pub fn run_edge_apply(
-        &self,
-        make: &dyn Fn(&Arc<GraphData>) -> Box<dyn EdgeApplyKernel>,
-        el: &[f32],
-        er: &[f32],
-    ) -> Result<(Vec<f32>, ShardedReport), GnnOneError> {
-        self.check_len("el", el.len(), self.num_rows())?;
-        self.check_len("er", er.len(), self.num_rows())?;
-        let name = make(&self.shard_graphs[0]).name();
-        let launch = move |s: usize, ops: &[Vec<f32>]| {
-            let spec = self.partition.shards()[s];
-            let kernel = make(&self.shard_graphs[s]);
-            let del = DeviceBuffer::from_slice(&ops[0]);
-            let der = DeviceBuffer::from_slice(&ops[1]);
-            let dw = DeviceBuffer::<f32>::zeros(spec.nnz());
-            let ms = match &self.topology {
-                ShardTopology::Sim(multi) => {
-                    let gpu = multi.device(s % multi.num_devices());
-                    kernel.run(gpu, &del, &der, &dw)?.time_ms
-                }
-                ShardTopology::Native(engines) => {
-                    kernel
-                        .run_native(&engines[s % engines.len()], &del, &der, &dw)?
-                        .time_ms
-                }
-            };
-            Ok((
-                ShardOutputs {
-                    rows: None,
-                    edges: Some(dw.to_vec()),
-                },
-                ms,
-            ))
-        };
-        let (_, edges, report) =
-            self.run_sharded(name, &[(el, 1), (er, 1)], None, true, &launch)?;
-        Ok((edges.expect("edge output requested"), report))
-    }
-
-    /// Runs a fused attention kernel sharded: returns the merged
-    /// `|V| × f` aggregation and the merged `|E|` attention coefficients.
-    /// Row alignment keeps each row's softmax entirely inside one shard,
-    /// so both outputs merge exactly.
-    pub fn run_fused(
-        &self,
-        make: &dyn Fn(&Arc<GraphData>) -> Box<dyn FusedAttentionKernel>,
-        z: &[f32],
-        el: &[f32],
-        er: &[f32],
         f: usize,
-    ) -> Result<(Vec<f32>, Vec<f32>, ShardedReport), GnnOneError> {
-        self.check_len("z", z.len(), self.num_rows() * f)?;
-        self.check_len("el", el.len(), self.num_rows())?;
-        self.check_len("er", er.len(), self.num_rows())?;
-        let name = make(&self.shard_graphs[0]).name();
-        let launch = move |s: usize, ops: &[Vec<f32>]| {
-            let spec = self.partition.shards()[s];
-            let kernel = make(&self.shard_graphs[s]);
-            let dz = DeviceBuffer::from_slice(&ops[0]);
-            let del = DeviceBuffer::from_slice(&ops[1]);
-            let der = DeviceBuffer::from_slice(&ops[2]);
-            let dy = DeviceBuffer::<f32>::zeros(self.num_rows() * f);
-            let dalpha = DeviceBuffer::<f32>::zeros(spec.nnz());
-            let ms = match &self.topology {
-                ShardTopology::Sim(multi) => {
-                    let gpu = multi.device(s % multi.num_devices());
-                    kernel
-                        .run(gpu, &dz, &del, &der, f, &dy, Some(&dalpha))?
-                        .time_ms
-                }
-                ShardTopology::Native(engines) => {
-                    kernel
-                        .run_native(
-                            &engines[s % engines.len()],
-                            &dz,
-                            &del,
-                            &der,
-                            f,
-                            &dy,
-                            Some(&dalpha),
-                        )?
-                        .time_ms
-                }
-            };
-            Ok((
-                ShardOutputs {
-                    rows: Some(dy.to_vec()),
-                    edges: Some(dalpha.to_vec()),
-                },
-                ms,
-            ))
-        };
-        let (rows, edges, report) =
-            self.run_sharded(name, &[(z, f), (el, 1), (er, 1)], Some(f), true, &launch)?;
-        Ok((
-            rows.expect("row output requested"),
-            edges.expect("edge output requested"),
-            report,
-        ))
+    ) -> Result<(Vec<f32>, ShardedReport), GnnOneError> {
+        let (mut outputs, report) = self.run(&|g| Kernel::Spmm(make(g)), &[edge_vals, x], f)?;
+        Ok((outputs.remove(0), report))
     }
 
     fn check_len(&self, what: &str, got: usize, want: usize) -> Result<(), GnnOneError> {

@@ -15,12 +15,252 @@
 //! [`crate::backend::native`] (picking the edge- or row-parallel path
 //! from the kernel's declared format); kernels with their own schedule
 //! knobs (the GNNOne family) override it to honour their config.
+//!
+//! The five family traits differ only in their operands. [`Kernel`] tags
+//! a boxed kernel with its family ([`Op`]), describes those operands as
+//! IR `(Space, Dim)` pairs ([`Signature`]), and owns the one launch path:
+//! [`Kernel::launch`] on a [`Device`] is the only place that matches a
+//! kernel family against a backend.
 
 use gnnone_sim::{engine::LaunchError, DeviceBuffer, Gpu, KernelReport};
 
 use crate::analysis::{summaries, AccessSummary, ExecModel};
 use crate::backend::native::{self, NativeEngine, NativeReport};
+use crate::backend::{Device, ExecReport};
 use crate::graph::GraphData;
+use crate::ir::{Dim, Space};
+
+/// A kernel family: which of the five operand signatures it launches with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Op {
+    /// [`SddmmKernel`]: `w ← A ⊙ (X·Yᵀ)`.
+    Sddmm,
+    /// [`SpmmKernel`]: `y ← A·x` with per-NZE edge values.
+    Spmm,
+    /// [`SpmvKernel`]: `y ← A·x` with scalar features.
+    Spmv,
+    /// [`EdgeApplyKernel`]: `w[e] ← el[row] + er[col]`.
+    EdgeApply,
+    /// [`FusedAttentionKernel`]: logits, edge softmax and aggregation.
+    Fused,
+}
+
+/// One operand: the index space it is laid out over and its row width.
+pub type Operand = (Space, Dim);
+
+const V_F: Operand = (Space::Vertex, Dim::F);
+const V_1: Operand = (Space::Vertex, Dim::One);
+const E_1: Operand = (Space::Edge, Dim::One);
+
+/// A family's operands in launch order. Every family has one required
+/// output; the fused kernel's second output (the attention coefficients
+/// α) is optional.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Signature {
+    /// Operands the kernel reads.
+    pub inputs: &'static [Operand],
+    /// Operands the kernel writes (zeroed by the caller).
+    pub outputs: &'static [Operand],
+}
+
+impl Op {
+    /// Stable lowercase label used in reports and `BENCH_NATIVE.json`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Op::Sddmm => "sddmm",
+            Op::Spmm => "spmm",
+            Op::Spmv => "spmv",
+            Op::EdgeApply => "edge_apply",
+            Op::Fused => "fused",
+        }
+    }
+
+    /// The family's operands: SDDMM reads `[V×F, V×F]` and writes
+    /// `[E×1]`; SpMM reads `[E×1, V×F]` and writes `[V×F]`; SpMV reads
+    /// `[E×1, V×1]` and writes `[V×1]`; edge-apply reads `[V×1, V×1]` and
+    /// writes `[E×1]`; fused reads `[V×F, V×1, V×1]` and writes
+    /// `[V×F, E×1]`.
+    pub fn signature(self) -> Signature {
+        let (inputs, outputs): (&'static [Operand], &'static [Operand]) = match self {
+            Op::Sddmm => (&[V_F, V_F], &[E_1]),
+            Op::Spmm => (&[E_1, V_F], &[V_F]),
+            Op::Spmv => (&[E_1, V_1], &[V_1]),
+            Op::EdgeApply => (&[V_1, V_1], &[E_1]),
+            Op::Fused => (&[V_F, V_1, V_1], &[V_F, E_1]),
+        };
+        Signature { inputs, outputs }
+    }
+}
+
+/// Any registry kernel, tagged by family.
+pub enum Kernel {
+    /// An SDDMM kernel.
+    Sddmm(Box<dyn SddmmKernel>),
+    /// An SpMM kernel.
+    Spmm(Box<dyn SpmmKernel>),
+    /// An SpMV kernel.
+    Spmv(Box<dyn SpmvKernel>),
+    /// An edge-apply kernel.
+    EdgeApply(Box<dyn EdgeApplyKernel>),
+    /// A fused-attention kernel.
+    Fused(Box<dyn FusedAttentionKernel>),
+}
+
+/// A borrowed [`Kernel`]: what the launch path dispatches on, so the
+/// borrowed trait objects `Backend::run_*` receive launch through it too.
+#[derive(Clone, Copy)]
+pub(crate) enum KernelRef<'a> {
+    Sddmm(&'a dyn SddmmKernel),
+    Spmm(&'a dyn SpmmKernel),
+    Spmv(&'a dyn SpmvKernel),
+    EdgeApply(&'a dyn EdgeApplyKernel),
+    Fused(&'a dyn FusedAttentionKernel),
+}
+
+/// Evaluates `$body` with `$k` bound to whichever family trait object
+/// `$kernel` holds.
+macro_rules! each_family {
+    ($kernel:expr, $k:ident => $body:expr) => {
+        match $kernel {
+            Kernel::Sddmm($k) => $body,
+            Kernel::Spmm($k) => $body,
+            Kernel::Spmv($k) => $body,
+            Kernel::EdgeApply($k) => $body,
+            Kernel::Fused($k) => $body,
+        }
+    };
+}
+
+/// Runs family trait object `$k` on `$device` — `run` on the simulator,
+/// `run_native` on a native engine — with the family's operands.
+macro_rules! on_device {
+    ($k:expr, $device:expr, $($arg:expr),+) => {
+        match $device {
+            Device::Sim(gpu) => $k.run(gpu, $($arg),+).map(ExecReport::from_sim),
+            Device::Native(eng) => $k.run_native(eng, $($arg),+).map(ExecReport::from_native),
+        }
+    };
+}
+
+impl Kernel {
+    /// System name as used in the paper's figures.
+    pub fn name(&self) -> &'static str {
+        each_family!(self, k => k.name())
+    }
+
+    /// Storage format consumed ("COO", "CSR", "custom").
+    pub fn format(&self) -> &'static str {
+        each_family!(self, k => k.format())
+    }
+
+    /// Graph tensors the kernel was constructed over.
+    fn graph(&self) -> &GraphData {
+        each_family!(self, k => k.graph())
+    }
+
+    /// Whether `name` is this kernel's name, ignoring ASCII case — the
+    /// match every registry lookup and `--kernels` filter uses.
+    pub fn is_named(&self, name: &str) -> bool {
+        self.name().eq_ignore_ascii_case(name)
+    }
+
+    /// The kernel's family.
+    pub fn op(&self) -> Op {
+        self.borrowed().op()
+    }
+
+    /// Input and output operands, in launch order.
+    pub fn signature(&self) -> Signature {
+        self.op().signature()
+    }
+
+    /// Element counts of the signature's outputs, in order, over the
+    /// graph the kernel was built on (a shard graph keeps every vertex
+    /// but only the shard's edges).
+    pub fn output_lens(&self, f: usize) -> impl Iterator<Item = usize> + '_ {
+        let graph = self.graph();
+        self.signature()
+            .outputs
+            .iter()
+            .map(move |&(space, dim)| space.rows(graph) * dim.len(f))
+    }
+
+    /// Symbolic access summary under one execution model at feature
+    /// length `f` (ignored by the scalar families), or `None` when the
+    /// kernel has none registered.
+    pub fn access_summary(&self, f: usize, model: ExecModel) -> Option<AccessSummary> {
+        match self {
+            Kernel::Sddmm(k) => k.access_summary(f, model),
+            Kernel::Spmm(k) => k.access_summary(f, model),
+            Kernel::Spmv(k) => k.access_summary(model),
+            Kernel::EdgeApply(k) => k.access_summary(model),
+            Kernel::Fused(k) => k.access_summary(f, model),
+        }
+    }
+
+    /// Launches the kernel on `device`: `inputs` and `outputs` follow
+    /// [`Self::signature`] (outputs zeroed by the caller; the fused α may
+    /// be left out). `f` is the feature length of the `F`-wide operands.
+    pub fn launch(
+        &self,
+        device: Device<'_>,
+        inputs: &[&DeviceBuffer<f32>],
+        f: usize,
+        outputs: &[&DeviceBuffer<f32>],
+    ) -> Result<ExecReport, LaunchError> {
+        self.borrowed().launch(device, inputs, f, outputs)
+    }
+
+    fn borrowed(&self) -> KernelRef<'_> {
+        match self {
+            Kernel::Sddmm(k) => KernelRef::Sddmm(k.as_ref()),
+            Kernel::Spmm(k) => KernelRef::Spmm(k.as_ref()),
+            Kernel::Spmv(k) => KernelRef::Spmv(k.as_ref()),
+            Kernel::EdgeApply(k) => KernelRef::EdgeApply(k.as_ref()),
+            Kernel::Fused(k) => KernelRef::Fused(k.as_ref()),
+        }
+    }
+}
+
+impl KernelRef<'_> {
+    fn op(self) -> Op {
+        match self {
+            KernelRef::Sddmm(_) => Op::Sddmm,
+            KernelRef::Spmm(_) => Op::Spmm,
+            KernelRef::Spmv(_) => Op::Spmv,
+            KernelRef::EdgeApply(_) => Op::EdgeApply,
+            KernelRef::Fused(_) => Op::Fused,
+        }
+    }
+
+    /// The one launch path; see [`Kernel::launch`].
+    pub(crate) fn launch(
+        self,
+        device: Device<'_>,
+        i: &[&DeviceBuffer<f32>],
+        f: usize,
+        o: &[&DeviceBuffer<f32>],
+    ) -> Result<ExecReport, LaunchError> {
+        let sig = self.op().signature();
+        assert!(
+            i.len() == sig.inputs.len() && !o.is_empty() && o.len() <= sig.outputs.len(),
+            "{} launch takes {} inputs and up to {} outputs, got {} and {}",
+            self.op().as_str(),
+            sig.inputs.len(),
+            sig.outputs.len(),
+            i.len(),
+            o.len()
+        );
+        let alpha = o.get(1).copied();
+        match self {
+            KernelRef::Sddmm(k) => on_device!(k, device, i[0], i[1], f, o[0]),
+            KernelRef::Spmm(k) => on_device!(k, device, i[0], i[1], f, o[0]),
+            KernelRef::Spmv(k) => on_device!(k, device, i[0], i[1], o[0]),
+            KernelRef::EdgeApply(k) => on_device!(k, device, i[0], i[1], o[0]),
+            KernelRef::Fused(k) => on_device!(k, device, i[0], i[1], i[2], f, o[0], alpha),
+        }
+    }
+}
 
 /// SpMM: `y ← A·x` with per-NZE edge values.
 pub trait SpmmKernel: Send + Sync {
@@ -231,7 +471,7 @@ pub trait EdgeApplyKernel: Send + Sync {
             ExecModel::Sim => self.sim_access_summary(),
             ExecModel::Native => Some(summaries::native_edge_out(
                 self.name(),
-                "u-add-v",
+                Op::EdgeApply.as_str(),
                 self.graph(),
                 &crate::gnnone::GnnOneConfig::default(),
                 1,

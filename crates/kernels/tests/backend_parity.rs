@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 
-use gnnone_kernels::backend::NativeEngine;
+use gnnone_kernels::backend::{Device, NativeEngine};
+use gnnone_kernels::gnnone::fused::fused_gat_reference;
 use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneSddmm, GnnOneSpmm, Schedule};
 use gnnone_kernels::graph::GraphData;
-use gnnone_kernels::registry;
-use gnnone_kernels::traits::{SddmmKernel, SpmmKernel};
+use gnnone_kernels::registry::{self, SweepInputs};
+use gnnone_kernels::traits::{Kernel, Op, SddmmKernel, SpmmKernel};
 use gnnone_sim::{DeviceBuffer, Gpu, GpuSpec};
 use gnnone_sparse::formats::{Coo, EdgeList};
 use gnnone_sparse::reference;
@@ -67,92 +68,78 @@ fn config_lattice() -> Vec<GnnOneConfig> {
     out
 }
 
+/// Operands for every family at feature length `f` (SpMV reads `el`).
+fn inputs(g: &GraphData, f: usize) -> SweepInputs<Vec<f32>> {
+    let nv = g.num_vertices();
+    SweepInputs {
+        x: features(nv, f, 21),
+        z: features(nv, f, 22),
+        w: features(g.nnz(), 1, 23),
+        el: features(nv, 1, 24),
+        er: features(nv, 1, 25),
+    }
+}
+
+/// Launches `k` on `device` with zeroed outputs; returns every output.
+fn launch(
+    k: &Kernel,
+    device: Device<'_>,
+    inputs: &SweepInputs<DeviceBuffer<f32>>,
+    f: usize,
+) -> Vec<Vec<f32>> {
+    let outputs: Vec<DeviceBuffer<f32>> = k.output_lens(f).map(DeviceBuffer::zeros).collect();
+    k.launch(
+        device,
+        &inputs.for_op(k.op()),
+        f,
+        &outputs.iter().collect::<Vec<_>>(),
+    )
+    .unwrap();
+    outputs.iter().map(DeviceBuffer::to_vec).collect()
+}
+
+/// The CPU reference for every output of an `op` kernel.
+fn cpu_reference(op: Op, g: &GraphData, h: &SweepInputs<Vec<f32>>, f: usize) -> Vec<Vec<f32>> {
+    match op {
+        Op::Sddmm => vec![reference::sddmm_coo(&g.coo, &h.x, &h.z, f)],
+        Op::Spmm => vec![reference::spmm_csr(&g.csr, &h.w, &h.x, f)],
+        Op::Spmv => vec![reference::spmv_csr(&g.csr, &h.w, &h.el)],
+        Op::EdgeApply => vec![reference::u_add_v_coo(&g.coo, &h.el, &h.er)],
+        Op::Fused => {
+            let (y, alpha) = fused_gat_reference(g, &h.z, &h.el, &h.er, f, 0.2);
+            vec![y, alpha]
+        }
+    }
+}
+
 /// Every registry kernel, every family: native ≡ CPU reference ≡ sim.
 #[test]
 fn native_matches_reference_and_sim_for_every_registry_kernel() {
     let gp = gpu();
     let ng = eng(4);
     for g in graphs() {
-        let nv = g.num_vertices();
-        let nnz = g.nnz();
         for f in [3usize, 16, 33] {
-            let x = features(nv, f, 21);
-            let y = features(nv, f, 22);
-            let w = features(nnz, 1, 23);
-            let dx = DeviceBuffer::from_slice(&x);
-            let dyv = DeviceBuffer::from_slice(&y);
-            let dwv = DeviceBuffer::from_slice(&w);
-
-            let sddmm_ref = reference::sddmm_coo(&g.coo, &x, &y, f);
-            for k in registry::sddmm_kernels(&g) {
-                let w_nat = DeviceBuffer::<f32>::zeros(nnz);
-                k.run_native(&ng, &dx, &dyv, f, &w_nat).unwrap();
-                reference::assert_close(&w_nat.to_vec(), &sddmm_ref, 1e-3);
-                let w_sim = DeviceBuffer::<f32>::zeros(nnz);
-                k.run(&gp, &dx, &dyv, f, &w_sim).unwrap();
-                reference::assert_close(&w_nat.to_vec(), &w_sim.to_vec(), 1e-3);
+            let host = inputs(&g, f);
+            let dev = host.upload();
+            let kernels = registry::all(&g);
+            assert_eq!(kernels.len(), 21);
+            for k in &kernels {
+                let native = launch(k, Device::Native(&ng), &dev, f);
+                let sim = launch(k, Device::Sim(&gp), &dev, f);
+                let want = cpu_reference(k.op(), &g, &host, f);
+                assert_eq!(native.len(), want.len(), "{}", k.name());
+                for ((nat, sim), want) in native.iter().zip(&sim).zip(&want) {
+                    if k.op() == Op::EdgeApply {
+                        // One add per edge, no reduction: exact on every
+                        // backend.
+                        assert_eq!(nat, want, "{}", k.name());
+                        assert_eq!(nat, sim, "{}", k.name());
+                    } else {
+                        reference::assert_close(nat, want, 1e-3);
+                        reference::assert_close(nat, sim, 1e-3);
+                    }
+                }
             }
-
-            let spmm_ref = reference::spmm_csr(&g.csr, &w, &x, f);
-            let spmm_all = registry::spmm_kernels(&g)
-                .into_iter()
-                .chain(registry::spmm_discussion_kernels(&g))
-                .chain(registry::spmm_format_kernels(&g));
-            for k in spmm_all {
-                let y_nat = DeviceBuffer::<f32>::zeros(nv * f);
-                k.run_native(&ng, &dwv, &dx, f, &y_nat).unwrap();
-                reference::assert_close(&y_nat.to_vec(), &spmm_ref, 1e-3);
-                let y_sim = DeviceBuffer::<f32>::zeros(nv * f);
-                k.run(&gp, &dwv, &dx, f, &y_sim).unwrap();
-                reference::assert_close(&y_nat.to_vec(), &y_sim.to_vec(), 1e-3);
-            }
-        }
-
-        let xs = features(nv, 1, 9);
-        let ws = features(nnz, 1, 10);
-        let dxs = DeviceBuffer::from_slice(&xs);
-        let dws = DeviceBuffer::from_slice(&ws);
-        let spmv_ref = reference::spmv_csr(&g.csr, &ws, &xs);
-        for k in registry::spmv_class_kernels(&g) {
-            let y_nat = DeviceBuffer::<f32>::zeros(nv);
-            k.run_native(&ng, &dws, &dxs, &y_nat).unwrap();
-            reference::assert_close(&y_nat.to_vec(), &spmv_ref, 1e-3);
-            let y_sim = DeviceBuffer::<f32>::zeros(nv);
-            k.run(&gp, &dws, &dxs, &y_sim).unwrap();
-            reference::assert_close(&y_nat.to_vec(), &y_sim.to_vec(), 1e-3);
-        }
-
-        let el = features(nv, 1, 24);
-        let er = features(nv, 1, 25);
-        let del = DeviceBuffer::from_slice(&el);
-        let der = DeviceBuffer::from_slice(&er);
-        for k in registry::edge_apply_kernels(&g) {
-            let w_nat = DeviceBuffer::<f32>::zeros(nnz);
-            k.run_native(&ng, &del, &der, &w_nat).unwrap();
-            let got = w_nat.to_vec();
-            for e in 0..nnz {
-                let expect = el[g.coo.rows()[e] as usize] + er[g.coo.cols()[e] as usize];
-                assert!((got[e] - expect).abs() < 1e-5, "u_add_v edge {e}");
-            }
-            let w_sim = DeviceBuffer::<f32>::zeros(nnz);
-            k.run(&gp, &del, &der, &w_sim).unwrap();
-            reference::assert_close(&got, &w_sim.to_vec(), 1e-5);
-        }
-
-        let f = 16usize;
-        let z = features(nv, f, 41);
-        let dz = DeviceBuffer::from_slice(&z);
-        for k in registry::fused_kernels(&g) {
-            let alpha_nat = DeviceBuffer::<f32>::zeros(nnz);
-            let y_nat = DeviceBuffer::<f32>::zeros(nv * f);
-            k.run_native(&ng, &dz, &del, &der, f, &y_nat, Some(&alpha_nat))
-                .unwrap();
-            let alpha_sim = DeviceBuffer::<f32>::zeros(nnz);
-            let y_sim = DeviceBuffer::<f32>::zeros(nv * f);
-            k.run(&gp, &dz, &del, &der, f, &y_sim, Some(&alpha_sim))
-                .unwrap();
-            reference::assert_close(&y_nat.to_vec(), &y_sim.to_vec(), 1e-3);
-            reference::assert_close(&alpha_nat.to_vec(), &alpha_sim.to_vec(), 1e-3);
         }
     }
 }
@@ -196,95 +183,15 @@ fn native_lattice_matches_reference() {
 fn native_output_is_bitwise_deterministic_across_thread_counts() {
     let engines = [eng(1), eng(2), eng(4)];
     for g in graphs() {
-        let nv = g.num_vertices();
-        let nnz = g.nnz();
         let f = 16usize;
-        let x = features(nv, f, 21);
-        let y = features(nv, f, 22);
-        let w = features(nnz, 1, 23);
-        let dx = DeviceBuffer::from_slice(&x);
-        let dyv = DeviceBuffer::from_slice(&y);
-        let dwv = DeviceBuffer::from_slice(&w);
-        let el = DeviceBuffer::from_slice(&features(nv, 1, 24));
-        let er = DeviceBuffer::from_slice(&features(nv, 1, 25));
-        let z = DeviceBuffer::from_slice(&features(nv, f, 41));
-
-        let sddmm_outs: Vec<Vec<Vec<f32>>> = engines
-            .iter()
-            .map(|ng| {
-                registry::sddmm_kernels(&g)
-                    .iter()
-                    .map(|k| {
-                        let dw = DeviceBuffer::<f32>::zeros(nnz);
-                        k.run_native(ng, &dx, &dyv, f, &dw).unwrap();
-                        dw.to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(sddmm_outs[0], sddmm_outs[1], "sddmm: 1 vs 2 threads");
-        assert_eq!(sddmm_outs[0], sddmm_outs[2], "sddmm: 1 vs 4 threads");
-
-        let spmm_outs: Vec<Vec<Vec<f32>>> = engines
-            .iter()
-            .map(|ng| {
-                registry::spmm_kernels(&g)
-                    .into_iter()
-                    .chain(registry::spmm_discussion_kernels(&g))
-                    .chain(registry::spmm_format_kernels(&g))
-                    .map(|k| {
-                        let dy = DeviceBuffer::<f32>::zeros(nv * f);
-                        k.run_native(ng, &dwv, &dx, f, &dy).unwrap();
-                        dy.to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        assert_eq!(spmm_outs[0], spmm_outs[1], "spmm: 1 vs 2 threads");
-        assert_eq!(spmm_outs[0], spmm_outs[2], "spmm: 1 vs 4 threads");
-
-        let rest_outs: Vec<Vec<Vec<f32>>> = engines
-            .iter()
-            .map(|ng| {
-                let mut outs = Vec::new();
-                for k in registry::spmv_class_kernels(&g) {
-                    let dy = DeviceBuffer::<f32>::zeros(nv);
-                    k.run_native(ng, &dwv, &dx, &dy).unwrap();
-                    outs.push(dy.to_vec());
-                }
-                for k in registry::edge_apply_kernels(&g) {
-                    let dw = DeviceBuffer::<f32>::zeros(nnz);
-                    k.run_native(ng, &el, &er, &dw).unwrap();
-                    outs.push(dw.to_vec());
-                }
-                for k in registry::fused_kernels(&g) {
-                    let alpha = DeviceBuffer::<f32>::zeros(nnz);
-                    let dy = DeviceBuffer::<f32>::zeros(nv * f);
-                    k.run_native(ng, &z, &el, &er, f, &dy, Some(&alpha))
-                        .unwrap();
-                    outs.push(dy.to_vec());
-                    outs.push(alpha.to_vec());
-                }
-                outs
-            })
-            .collect();
-        assert_eq!(rest_outs[0], rest_outs[1], "spmv/edge/fused: 1 vs 2");
-        assert_eq!(rest_outs[0], rest_outs[2], "spmv/edge/fused: 1 vs 4");
+        let dev = inputs(&g, f).upload();
+        for k in registry::all(&g) {
+            let outs: Vec<Vec<Vec<f32>>> = engines
+                .iter()
+                .map(|ng| launch(&k, Device::Native(ng), &dev, f))
+                .collect();
+            assert_eq!(outs[0], outs[1], "{}: 1 vs 2 threads", k.name());
+            assert_eq!(outs[0], outs[2], "{}: 1 vs 4 threads", k.name());
+        }
     }
-}
-
-/// The registry exposes exactly the 21 kernels `BENCH_NATIVE.json` and
-/// the CI `native-smoke` job assert coverage of. Growing the registry
-/// must grow this count (and the committed baseline) deliberately.
-#[test]
-fn registry_exposes_twenty_one_kernels() {
-    let g = &graphs()[0];
-    let count = registry::sddmm_kernels(g).len()
-        + registry::spmm_kernels(g).len()
-        + registry::spmm_discussion_kernels(g).len()
-        + registry::spmm_format_kernels(g).len()
-        + registry::spmv_class_kernels(g).len()
-        + registry::edge_apply_kernels(g).len()
-        + registry::fused_kernels(g).len();
-    assert_eq!(count, 21);
 }

@@ -13,11 +13,13 @@
 
 use std::sync::Arc;
 
+use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneSddmm, GnnOneSpmm};
 use gnnone_kernels::graph::GraphData;
-use gnnone_kernels::registry;
+use gnnone_kernels::registry::{self, SweepInputs};
 use gnnone_kernels::shard::{partition_graph, RetryPolicy, ShardTopology, ShardedExecutor};
+use gnnone_kernels::traits::{Op, SddmmKernel, SpmmKernel};
 use gnnone_sim::chaos::ShardFaultKind;
-use gnnone_sim::{DeviceBuffer, GnnOneError, Gpu, GpuSpec};
+use gnnone_sim::{DeviceBuffer, GnnOneError, GpuSpec};
 use gnnone_sparse::formats::{Coo, EdgeList};
 use gnnone_sparse::gen::adversarial;
 use gnnone_sparse::RowPartition;
@@ -57,202 +59,73 @@ fn float_features(n: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-struct Operands {
-    f: usize,
-    x: Vec<f32>,
-    y: Vec<f32>,
-    w: Vec<f32>,
-    xs: Vec<f32>,
-    el: Vec<f32>,
-    er: Vec<f32>,
-}
+const F: usize = 8;
 
-fn operands(g: &GraphData, feats: fn(usize, usize) -> Vec<f32>) -> Operands {
+fn operands(g: &GraphData, feats: fn(usize, usize) -> Vec<f32>) -> SweepInputs<Vec<f32>> {
     let nv = g.num_vertices();
-    let f = 8usize;
-    Operands {
-        f,
-        x: feats(nv * f, 21),
-        y: feats(nv * f, 22),
+    SweepInputs {
+        x: feats(nv * F, 21),
+        z: feats(nv * F, 22),
         w: feats(g.nnz(), 23),
-        xs: feats(nv, 9),
         el: feats(nv, 24),
         er: feats(nv, 25),
     }
 }
 
-/// Every registry kernel's unsharded output, concatenated per family in
+fn slices(ops: &SweepInputs<Vec<f32>>, op: Op) -> Vec<&[f32]> {
+    ops.for_op(op).into_iter().map(Vec::as_slice).collect()
+}
+
+/// Every registry kernel's unsharded outputs on shard 0's device, in
 /// registry order — the reference the sharded runs must reproduce exactly.
-fn unsharded_all(g: &Arc<GraphData>, ops: &Operands, topo: &ShardTopology) -> Vec<Vec<f32>> {
-    let nv = g.num_vertices();
-    let nnz = g.nnz();
-    let dx = DeviceBuffer::from_slice(&ops.x);
-    let dyv = DeviceBuffer::from_slice(&ops.y);
-    let dwv = DeviceBuffer::from_slice(&ops.w);
-    let dxs = DeviceBuffer::from_slice(&ops.xs);
-    let del = DeviceBuffer::from_slice(&ops.el);
-    let der = DeviceBuffer::from_slice(&ops.er);
+fn unsharded_all(
+    g: &Arc<GraphData>,
+    ops: &SweepInputs<Vec<f32>>,
+    topo: &ShardTopology,
+) -> Vec<Vec<f32>> {
+    let dev = ops.upload();
     let mut outs = Vec::new();
-    let run = |run_sim: &dyn Fn(&Gpu), run_nat: &dyn Fn(&gnnone_kernels::NativeEngine)| match topo {
-        ShardTopology::Sim(multi) => run_sim(multi.device(0)),
-        ShardTopology::Native(engines) => run_nat(&engines[0]),
-    };
-    for k in registry::spmm_kernels(g)
-        .into_iter()
-        .chain(registry::spmm_discussion_kernels(g))
-        .chain(registry::spmm_format_kernels(g))
-    {
-        let dy = DeviceBuffer::<f32>::zeros(nv * ops.f);
-        run(
-            &|gpu| {
-                k.run(gpu, &dwv, &dx, ops.f, &dy).unwrap();
-            },
-            &|ng| {
-                k.run_native(ng, &dwv, &dx, ops.f, &dy).unwrap();
-            },
-        );
-        outs.push(dy.to_vec());
-    }
-    for k in registry::sddmm_kernels(g) {
-        let dw = DeviceBuffer::<f32>::zeros(nnz);
-        run(
-            &|gpu| {
-                k.run(gpu, &dx, &dyv, ops.f, &dw).unwrap();
-            },
-            &|ng| {
-                k.run_native(ng, &dx, &dyv, ops.f, &dw).unwrap();
-            },
-        );
-        outs.push(dw.to_vec());
-    }
-    for k in registry::spmv_class_kernels(g) {
-        let dy = DeviceBuffer::<f32>::zeros(nv);
-        run(
-            &|gpu| {
-                k.run(gpu, &dwv, &dxs, &dy).unwrap();
-            },
-            &|ng| {
-                k.run_native(ng, &dwv, &dxs, &dy).unwrap();
-            },
-        );
-        outs.push(dy.to_vec());
-    }
-    for k in registry::edge_apply_kernels(g) {
-        let dw = DeviceBuffer::<f32>::zeros(nnz);
-        run(
-            &|gpu| {
-                k.run(gpu, &del, &der, &dw).unwrap();
-            },
-            &|ng| {
-                k.run_native(ng, &del, &der, &dw).unwrap();
-            },
-        );
-        outs.push(dw.to_vec());
-    }
-    for k in registry::fused_kernels(g) {
-        let dy = DeviceBuffer::<f32>::zeros(nv * ops.f);
-        let dalpha = DeviceBuffer::<f32>::zeros(nnz);
-        run(
-            &|gpu| {
-                k.run(gpu, &dx, &del, &der, ops.f, &dy, Some(&dalpha))
-                    .unwrap();
-            },
-            &|ng| {
-                k.run_native(ng, &dx, &del, &der, ops.f, &dy, Some(&dalpha))
-                    .unwrap();
-            },
-        );
-        outs.push(dy.to_vec());
-        outs.push(dalpha.to_vec());
+    for k in registry::all(g) {
+        let bufs: Vec<DeviceBuffer<f32>> = k.output_lens(F).map(DeviceBuffer::zeros).collect();
+        k.launch(
+            topo.device(0),
+            &dev.for_op(k.op()),
+            F,
+            &bufs.iter().collect::<Vec<_>>(),
+        )
+        .unwrap();
+        outs.extend(bufs.iter().map(DeviceBuffer::to_vec));
     }
     outs
 }
 
 /// Every registry kernel run through the sharded executor, same order.
-fn sharded_all(exec: &ShardedExecutor, g: &Arc<GraphData>, ops: &Operands) -> Vec<Vec<f32>> {
+fn sharded_all(
+    exec: &ShardedExecutor,
+    g: &Arc<GraphData>,
+    ops: &SweepInputs<Vec<f32>>,
+) -> Vec<Vec<f32>> {
     let mut outs = Vec::new();
-    let spmm_names: Vec<&'static str> = registry::spmm_kernels(g)
-        .iter()
-        .map(|k| k.name())
-        .chain(
-            registry::spmm_discussion_kernels(g)
-                .iter()
-                .map(|k| k.name()),
-        )
-        .chain(registry::spmm_format_kernels(g).iter().map(|k| k.name()))
-        .collect();
-    for name in spmm_names {
-        let (out, _) = exec
-            .run_spmm(
-                &|sg| registry::spmm_by_name(sg, name).unwrap(),
-                &ops.w,
-                &ops.x,
-                ops.f,
+    for k in registry::all(g) {
+        let (op, name) = (k.op(), k.name());
+        let (merged, _) = exec
+            .run(
+                &|sg| registry::by_name(sg, op, name).unwrap(),
+                &slices(ops, op),
+                F,
             )
             .unwrap();
-        outs.push(out);
-    }
-    let sddmm_names: Vec<&'static str> = registry::sddmm_kernels(g)
-        .iter()
-        .map(|k| k.name())
-        .collect();
-    for name in sddmm_names {
-        let (out, _) = exec
-            .run_sddmm(
-                &|sg| registry::sddmm_by_name(sg, name).unwrap(),
-                &ops.x,
-                &ops.y,
-                ops.f,
-            )
-            .unwrap();
-        outs.push(out);
-    }
-    let spmv_names: Vec<&'static str> = registry::spmv_class_kernels(g)
-        .iter()
-        .map(|k| k.name())
-        .collect();
-    for name in spmv_names {
-        let (out, _) = exec
-            .run_spmv(
-                &|sg| registry::spmv_by_name(sg, name).unwrap(),
-                &ops.w,
-                &ops.xs,
-            )
-            .unwrap();
-        outs.push(out);
-    }
-    let edge_names: Vec<&'static str> = registry::edge_apply_kernels(g)
-        .iter()
-        .map(|k| k.name())
-        .collect();
-    for name in edge_names {
-        let (out, _) = exec
-            .run_edge_apply(
-                &|sg| registry::edge_apply_by_name(sg, name).unwrap(),
-                &ops.el,
-                &ops.er,
-            )
-            .unwrap();
-        outs.push(out);
-    }
-    let fused_names: Vec<&'static str> = registry::fused_kernels(g)
-        .iter()
-        .map(|k| k.name())
-        .collect();
-    for name in fused_names {
-        let (y, alpha, _) = exec
-            .run_fused(
-                &|sg| registry::fused_by_name(sg, name).unwrap(),
-                &ops.x,
-                &ops.el,
-                &ops.er,
-                ops.f,
-            )
-            .unwrap();
-        outs.push(y);
-        outs.push(alpha);
+        outs.extend(merged);
     }
     outs
+}
+
+fn gnnone_spmm(sg: &Arc<GraphData>) -> Box<dyn SpmmKernel> {
+    Box::new(GnnOneSpmm::new(Arc::clone(sg), GnnOneConfig::default()))
+}
+
+fn gnnone_sddmm(sg: &Arc<GraphData>) -> Box<dyn SddmmKernel> {
+    Box::new(GnnOneSddmm::new(Arc::clone(sg), GnnOneConfig::default()))
 }
 
 fn topologies(k: usize) -> Vec<ShardTopology> {
@@ -273,6 +146,7 @@ fn sharded_matches_unsharded_bitwise_for_every_registry_kernel() {
                 let reference = unsharded_all(&g, &ops, &topo);
                 let exec = ShardedExecutor::new(Arc::clone(&g), k, topo).unwrap();
                 let sharded = sharded_all(&exec, &g, &ops);
+                assert_eq!(reference.len(), 22, "21 kernels, fused with α");
                 assert_eq!(reference.len(), sharded.len());
                 for (i, (a, b)) in reference.iter().zip(&sharded).enumerate() {
                     assert_eq!(a, b, "kernel #{i}, K={k}: sharded output diverged");
@@ -280,6 +154,42 @@ fn sharded_matches_unsharded_bitwise_for_every_registry_kernel() {
             }
         }
     }
+}
+
+/// The typed `run_sddmm` / `run_spmm` forwards are bitwise-equal to the
+/// signature-driven `run` they forward into, on both topologies.
+#[test]
+fn family_forwards_match_run_bitwise() {
+    for g in graphs() {
+        let ops = operands(&g, float_features);
+        for k in [1usize, 2, 4] {
+            for topo in topologies(k) {
+                let exec = ShardedExecutor::new(Arc::clone(&g), k, topo).unwrap();
+                let (sddmm, _) = exec.run_sddmm(&gnnone_sddmm, &ops.x, &ops.z, F).unwrap();
+                let (run, _) = exec
+                    .run(
+                        &|sg| registry::by_name(sg, Op::Sddmm, "GnnOne").unwrap(),
+                        &slices(&ops, Op::Sddmm),
+                        F,
+                    )
+                    .unwrap();
+                assert_eq!(bits(&sddmm), bits(&run[0]), "sddmm forward, K={k}");
+                let (spmm, _) = exec.run_spmm(&gnnone_spmm, &ops.w, &ops.x, F).unwrap();
+                let (run, _) = exec
+                    .run(
+                        &|sg| registry::by_name(sg, Op::Spmm, "GnnOne").unwrap(),
+                        &slices(&ops, Op::Spmm),
+                        F,
+                    )
+                    .unwrap();
+                assert_eq!(bits(&spmm), bits(&run[0]), "spmm forward, K={k}");
+            }
+        }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// K = 1 is the identity: same graph object (no shard copies), no halo
@@ -297,14 +207,7 @@ fn k1_is_byte_identical_even_with_float_features() {
                 let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(ab, bb, "kernel #{i}: K=1 is not byte-identical");
             }
-            let (_, report) = exec
-                .run_spmm(
-                    &|sg| registry::spmm_by_name(sg, "GnnOne").unwrap(),
-                    &ops.w,
-                    &ops.x,
-                    ops.f,
-                )
-                .unwrap();
+            let (_, report) = exec.run_spmm(&gnnone_spmm, &ops.w, &ops.x, F).unwrap();
             assert_eq!(report.transfer_bytes, 0, "K=1 must move no halo bytes");
         }
     }
@@ -321,14 +224,7 @@ fn every_shard_fault_recovers_bitwise_identically_across_seeds() {
     let clean = {
         let exec =
             ShardedExecutor::new(Arc::clone(&g), k, ShardTopology::native(4, k).unwrap()).unwrap();
-        exec.run_spmm(
-            &|sg| registry::spmm_by_name(sg, "GnnOne").unwrap(),
-            &ops.w,
-            &ops.x,
-            ops.f,
-        )
-        .unwrap()
-        .0
+        exec.run_spmm(&gnnone_spmm, &ops.w, &ops.x, F).unwrap().0
     };
     for kind in ShardFaultKind::lattice() {
         for seed in 0..8u64 {
@@ -336,14 +232,7 @@ fn every_shard_fault_recovers_bitwise_identically_across_seeds() {
                 ShardedExecutor::new(Arc::clone(&g), k, ShardTopology::native(4, k).unwrap())
                     .unwrap();
             exec.arm_fault(kind, seed);
-            let (out, report) = exec
-                .run_spmm(
-                    &|sg| registry::spmm_by_name(sg, "GnnOne").unwrap(),
-                    &ops.w,
-                    &ops.x,
-                    ops.f,
-                )
-                .unwrap();
+            let (out, report) = exec.run_spmm(&gnnone_spmm, &ops.w, &ops.x, F).unwrap();
             assert_eq!(out, clean, "{kind} seed {seed}: recovered output diverged");
             assert_eq!(
                 report.retries, 1,
@@ -393,14 +282,7 @@ fn faults_recover_on_the_sim_topology_too() {
             ShardTopology::sim(GpuSpec::a100_40gb(), 2),
         )
         .unwrap();
-        let (out, report) = exec
-            .run_sddmm(
-                &|sg| registry::sddmm_by_name(sg, "GnnOne").unwrap(),
-                &ops.x,
-                &ops.y,
-                ops.f,
-            )
-            .unwrap();
+        let (out, report) = exec.run_sddmm(&gnnone_sddmm, &ops.x, &ops.z, F).unwrap();
         assert!(
             report.transfer_bytes > 0,
             "K=4 ring sharding must ship halo bytes across devices"
@@ -416,14 +298,7 @@ fn faults_recover_on_the_sim_topology_too() {
         )
         .unwrap();
         exec.arm_fault(kind, 5);
-        let (out, report) = exec
-            .run_sddmm(
-                &|sg| registry::sddmm_by_name(sg, "GnnOne").unwrap(),
-                &ops.x,
-                &ops.y,
-                ops.f,
-            )
-            .unwrap();
+        let (out, report) = exec.run_sddmm(&gnnone_sddmm, &ops.x, &ops.z, F).unwrap();
         assert_eq!(out, clean, "{kind}: sim recovery diverged");
         assert_eq!(report.retries, 1, "{kind}");
     }
@@ -444,14 +319,7 @@ fn exhausted_retries_decline_with_a_structured_shard_abort() {
         ..RetryPolicy::default()
     });
     exec.arm_fault(ShardFaultKind::ShardKill, 3);
-    let err = exec
-        .run_spmm(
-            &|sg| registry::spmm_by_name(sg, "GnnOne").unwrap(),
-            &ops.w,
-            &ops.x,
-            ops.f,
-        )
-        .unwrap_err();
+    let err = exec.run_spmm(&gnnone_spmm, &ops.w, &ops.x, F).unwrap_err();
     assert_eq!(err.kind(), "shard-abort");
     match err {
         GnnOneError::ShardAbort(sa) => {
@@ -484,10 +352,10 @@ fn retry_backoff_follows_the_sweep_guard_schedule() {
     });
     exec.arm_fault(ShardFaultKind::TransientShardLaunch, 0);
     let (_, report) = exec
-        .run_spmv(
-            &|sg| registry::spmv_by_name(sg, "GnnOne").unwrap(),
-            &ops.w,
-            &ops.xs,
+        .run(
+            &|sg| registry::by_name(sg, Op::Spmv, "GnnOne").unwrap(),
+            &slices(&ops, Op::Spmv),
+            1,
         )
         .unwrap();
     assert_eq!(report.backoff_ms, vec![1], "one retry at base backoff");
@@ -576,14 +444,7 @@ fn degenerate_graphs_shard_cleanly() {
         ShardedExecutor::new(Arc::clone(&star), 3, ShardTopology::native(2, 3).unwrap()).unwrap();
     exec.arm_fault(ShardFaultKind::ShardKill, 1);
     let ops = operands(&star, int_features);
-    let (_, report) = exec
-        .run_spmm(
-            &|sg| registry::spmm_by_name(sg, "GnnOne").unwrap(),
-            &ops.w,
-            &ops.x,
-            ops.f,
-        )
-        .unwrap();
+    let (_, report) = exec.run_spmm(&gnnone_spmm, &ops.w, &ops.x, F).unwrap();
     assert_eq!(report.launches, vec![1 + 1, 0, 0], "only shard 0 launches");
 }
 

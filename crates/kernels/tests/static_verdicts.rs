@@ -51,6 +51,19 @@ fn registry_is_proved_on_table1_graphs_under_both_models() {
     }
 }
 
+/// A verify report names each family once: every registry kernel's
+/// summary carries the same family label as the kernel itself.
+#[test]
+fn summary_family_labels_match_the_kernel_family() {
+    let g = table1_graph("G0");
+    for k in registry::all(&g) {
+        for model in [ExecModel::Sim, ExecModel::Native] {
+            let s = k.access_summary(8, model).expect("summary");
+            assert_eq!(s.op, k.op().as_str(), "{} {model:?}", k.name());
+        }
+    }
+}
+
 #[test]
 fn config_lattice_is_fully_proved() {
     let g = table1_graph("G0");

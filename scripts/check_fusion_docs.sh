@@ -54,7 +54,7 @@ done
 
 # 4. The surface the doc documents must still exist in the code.
 for needed in "gat_attention_inference_graph" "LowerOptions" "plan_ms" \
-  "fused_by_name" "edge_apply_by_name" "plan_summaries" "run_plan" \
+  "registry::by_name" "plan_summaries" "run_plan" \
   "fusion-parity" "host_edge_softmax" "gat_fused_vs_unfused"; do
   grep -qF -- "$needed" "$DOC" || err "$DOC never mentions $needed"
 done
