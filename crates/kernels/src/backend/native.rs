@@ -33,7 +33,6 @@
 
 use std::time::Instant;
 
-use gnnone_sim::DeviceBuffer;
 use rayon::prelude::*;
 
 use crate::gnnone::config::{GnnOneConfig, Schedule};
@@ -58,8 +57,9 @@ pub struct NativeReport {
     /// Kernel name, as reported by the kernel object.
     pub name: String,
     /// Wall-clock time of the parallel compute section in milliseconds.
-    /// Device-buffer staging copies are excluded: the sim backend does
-    /// not charge host↔device copies to the kernel either.
+    /// Staging copies between device buffers and host vectors (made by
+    /// the launch path, never by these routines) are excluded: the sim
+    /// backend does not charge host↔device copies to the kernel either.
     pub time_ms: f64,
     /// Rayon threads available to the launch.
     pub threads: usize,
@@ -216,22 +216,19 @@ pub fn sddmm_edges(
     eng: &NativeEngine,
     graph: &GraphData,
     cfg: &GnnOneConfig,
-    dx: &DeviceBuffer<f32>,
-    dy: &DeviceBuffer<f32>,
+    x: &[f32],
+    y: &[f32],
     f: usize,
-    dw: &DeviceBuffer<f32>,
+    w: &mut [f32],
     name: &str,
 ) -> NativeReport {
-    let x = dx.to_vec();
-    let y = dy.to_vec();
     let rows = graph.coo.rows();
     let cols = graph.coo.cols();
-    let nnz = graph.nnz();
-    let mut w = vec![0.0f32; nnz];
+    assert_eq!(w.len(), graph.nnz(), "{name}: output length");
     let block = cta_edges(cfg.cache_size);
     let reuse = cfg.data_reuse && cfg.schedule == Schedule::Consecutive;
     let vectorize = cfg.vectorize;
-    let report = eng.timed(name, || {
+    eng.timed(name, || {
         w.par_chunks_mut(block).enumerate().for_each(|(b, out)| {
             let base = b * block;
             let mut prev_row = u32::MAX;
@@ -252,9 +249,7 @@ pub fn sddmm_edges(
                 };
             }
         });
-    });
-    dw.copy_from_slice(&w);
-    report
+    })
 }
 
 /// Vertex-parallel SDDMM over CSR — the native path for the
@@ -264,29 +259,26 @@ pub fn sddmm_edges(
 pub fn sddmm_rows(
     eng: &NativeEngine,
     graph: &GraphData,
-    dx: &DeviceBuffer<f32>,
-    dy: &DeviceBuffer<f32>,
+    x: &[f32],
+    y: &[f32],
     f: usize,
-    dw: &DeviceBuffer<f32>,
+    w: &mut [f32],
     name: &str,
 ) -> NativeReport {
-    let x = dx.to_vec();
-    let y = dy.to_vec();
     let offsets = graph.csr.offsets();
     let cols = graph.csr.cols();
     let n = graph.num_vertices();
-    let nnz = graph.nnz();
-    let mut w = vec![0.0f32; nnz];
+    assert_eq!(w.len(), graph.nnz(), "{name}: output length");
     let blocks = row_blocks(offsets, n, cta_edges(GnnOneConfig::default().cache_size));
     let mut parts: Vec<(&mut [f32], usize, usize)> = Vec::with_capacity(blocks.len());
-    let mut rest: &mut [f32] = &mut w;
+    let mut rest: &mut [f32] = w;
     for &(r0, r1) in &blocks {
         let span = (offsets[r1] - offsets[r0]) as usize;
         let (head, tail) = rest.split_at_mut(span);
         parts.push((head, r0, r1));
         rest = tail;
     }
-    let report = eng.timed(name, || {
+    eng.timed(name, || {
         parts.into_par_iter().for_each(|(out, r0, r1)| {
             let base = offsets[r0] as usize;
             for r in r0..r1 {
@@ -297,9 +289,7 @@ pub fn sddmm_rows(
                 }
             }
         });
-    });
-    dw.copy_from_slice(&w);
-    report
+    })
 }
 
 /// Row-split SpMM (`y[r] += Σ_e w[e] · x[col(e)]` over CSR rows) on
@@ -311,28 +301,26 @@ pub fn spmm_rows(
     eng: &NativeEngine,
     graph: &GraphData,
     cfg: &GnnOneConfig,
-    dvals: &DeviceBuffer<f32>,
-    dx: &DeviceBuffer<f32>,
+    vals: &[f32],
+    x: &[f32],
     f: usize,
-    dy: &DeviceBuffer<f32>,
+    y: &mut [f32],
     name: &str,
 ) -> NativeReport {
-    let vals = dvals.to_vec();
-    let x = dx.to_vec();
     let offsets = graph.csr.offsets();
     let cols = graph.csr.cols();
     let n = graph.num_vertices();
-    let mut y = dy.to_vec();
+    assert_eq!(y.len(), n * f, "{name}: output length");
     let blocks = row_blocks(offsets, n, cta_edges(cfg.cache_size));
     let vectorize = cfg.vectorize;
     let mut parts: Vec<(&mut [f32], usize, usize)> = Vec::with_capacity(blocks.len());
-    let mut rest: &mut [f32] = &mut y;
+    let mut rest: &mut [f32] = y;
     for &(r0, r1) in &blocks {
         let (head, tail) = rest.split_at_mut((r1 - r0) * f);
         parts.push((head, r0, r1));
         rest = tail;
     }
-    let report = eng.timed(name, || {
+    eng.timed(name, || {
         parts.into_par_iter().for_each(|(out, r0, r1)| {
             for r in r0..r1 {
                 let row = &mut out[(r - r0) * f..(r - r0 + 1) * f];
@@ -349,21 +337,19 @@ pub fn spmm_rows(
                 }
             }
         });
-    });
-    dy.copy_from_slice(&y);
-    report
+    })
 }
 
 /// Row-split SpMV — [`spmm_rows`] specialized to scalar features.
 pub fn spmv_rows(
     eng: &NativeEngine,
     graph: &GraphData,
-    dvals: &DeviceBuffer<f32>,
-    dx: &DeviceBuffer<f32>,
-    dy: &DeviceBuffer<f32>,
+    vals: &[f32],
+    x: &[f32],
+    y: &mut [f32],
     name: &str,
 ) -> NativeReport {
-    spmm_rows(eng, graph, &GnnOneConfig::default(), dvals, dx, 1, dy, name)
+    spmm_rows(eng, graph, &GnnOneConfig::default(), vals, x, 1, y, name)
 }
 
 /// Edge-parallel `u_add_v` (`w[e] = el[row(e)] + er[col(e)]`) on
@@ -371,27 +357,23 @@ pub fn spmv_rows(
 pub fn u_add_v_edges(
     eng: &NativeEngine,
     graph: &GraphData,
-    del: &DeviceBuffer<f32>,
-    der: &DeviceBuffer<f32>,
-    dw: &DeviceBuffer<f32>,
+    el: &[f32],
+    er: &[f32],
+    w: &mut [f32],
     name: &str,
 ) -> NativeReport {
-    let el = del.to_vec();
-    let er = der.to_vec();
     let rows = graph.coo.rows();
     let cols = graph.coo.cols();
-    let mut w = vec![0.0f32; graph.nnz()];
+    assert_eq!(w.len(), graph.nnz(), "{name}: output length");
     let block = cta_edges(GnnOneConfig::default().cache_size);
-    let report = eng.timed(name, || {
+    eng.timed(name, || {
         w.par_chunks_mut(block).enumerate().for_each(|(b, out)| {
             let base = b * block;
             for (i, slot) in out.iter_mut().enumerate() {
                 *slot = el[rows[base + i] as usize] + er[cols[base + i] as usize];
             }
         });
-    });
-    dw.copy_from_slice(&w);
-    report
+    })
 }
 
 /// Fused GAT attention on row blocks: per row, three sequential passes
@@ -403,30 +385,29 @@ pub fn fused_gat_rows(
     eng: &NativeEngine,
     graph: &GraphData,
     slope: f32,
-    dz: &DeviceBuffer<f32>,
-    del: &DeviceBuffer<f32>,
-    der: &DeviceBuffer<f32>,
+    z: &[f32],
+    el: &[f32],
+    er: &[f32],
     f: usize,
-    dy: &DeviceBuffer<f32>,
-    dalpha: Option<&DeviceBuffer<f32>>,
+    y: &mut [f32],
+    alpha: Option<&mut [f32]>,
     name: &str,
 ) -> NativeReport {
-    let z = dz.to_vec();
-    let el = del.to_vec();
-    let er = der.to_vec();
     let offsets = graph.csr.offsets();
     let cols = graph.csr.cols();
     let n = graph.num_vertices();
-    let mut y = dy.to_vec();
-    // α is only materialized when the caller asked for it (training);
-    // the inference shape keeps it in the per-row stage buffer.
-    let mut alpha = dalpha.map(|_| vec![0.0f32; graph.nnz()]);
+    assert_eq!(y.len(), n * f, "{name}: output length");
+    // α is only written when the caller asked for it (training); the
+    // inference shape keeps it in the per-row stage buffer.
+    if let Some(a) = &alpha {
+        assert_eq!(a.len(), graph.nnz(), "{name}: α length");
+    }
     let blocks = row_blocks(offsets, n, cta_edges(GnnOneConfig::default().cache_size));
     // One task's slice of the outputs: (y rows, α span, row range).
     type FusedPart<'a> = (&'a mut [f32], Option<&'a mut [f32]>, usize, usize);
     let mut parts: Vec<FusedPart> = Vec::with_capacity(blocks.len());
-    let mut y_rest: &mut [f32] = &mut y;
-    let mut a_rest: Option<&mut [f32]> = alpha.as_deref_mut();
+    let mut y_rest: &mut [f32] = y;
+    let mut a_rest: Option<&mut [f32]> = alpha;
     for &(r0, r1) in &blocks {
         let (y_head, y_tail) = y_rest.split_at_mut((r1 - r0) * f);
         let span = (offsets[r1] - offsets[r0]) as usize;
@@ -442,7 +423,7 @@ pub fn fused_gat_rows(
         y_rest = y_tail;
     }
     let leaky = |raw: f32| if raw > 0.0 { raw } else { raw * slope };
-    let report = eng.timed(name, || {
+    eng.timed(name, || {
         parts
             .into_par_iter()
             .for_each(|(y_out, mut a_out, r0, r1)| {
@@ -495,12 +476,7 @@ pub fn fused_gat_rows(
                     }
                 }
             });
-    });
-    dy.copy_from_slice(&y);
-    if let (Some(da), Some(a)) = (dalpha, &alpha) {
-        da.copy_from_slice(a);
-    }
-    report
+    })
 }
 
 #[cfg(test)]
@@ -547,21 +523,21 @@ mod tests {
         let n = g.num_vertices();
         let x = feats(n * f, 3);
         let vals = feats(g.nnz(), 4);
-        let dy = DeviceBuffer::<f32>::zeros(n * f);
+        let mut y = vec![0.0f32; n * f];
         let eng = NativeEngine::with_threads(3).unwrap();
         spmm_rows(
             &eng,
             &g,
             &GnnOneConfig::default(),
-            &DeviceBuffer::from_slice(&vals),
-            &DeviceBuffer::from_slice(&x),
+            &vals,
+            &x,
             f,
-            &dy,
+            &mut y,
             "t",
         );
         // Row-split accumulation preserves the reference association
         // order per element, so equality is exact, not just close.
-        assert_eq!(dy.to_vec(), reference::spmm_csr(&g.csr, &vals, &x, f));
+        assert_eq!(y, reference::spmm_csr(&g.csr, &vals, &x, f));
     }
 
     #[test]
@@ -581,18 +557,9 @@ mod tests {
                     vectorize,
                     data_reuse: true,
                 };
-                let dw = DeviceBuffer::<f32>::zeros(g.nnz());
-                sddmm_edges(
-                    &eng,
-                    &g,
-                    &cfg,
-                    &DeviceBuffer::from_slice(&x),
-                    &DeviceBuffer::from_slice(&y),
-                    f,
-                    &dw,
-                    "t",
-                );
-                reference::assert_close(&dw.to_vec(), &expect, 1e-5);
+                let mut w = vec![0.0f32; g.nnz()];
+                sddmm_edges(&eng, &g, &cfg, &x, &y, f, &mut w, "t");
+                reference::assert_close(&w, &expect, 1e-5);
             }
         }
     }
@@ -606,18 +573,9 @@ mod tests {
         let y = feats(n * f, 8);
         let run = |threads: usize| {
             let eng = NativeEngine::with_threads(threads).unwrap();
-            let dw = DeviceBuffer::<f32>::zeros(g.nnz());
-            sddmm_edges(
-                &eng,
-                &g,
-                &GnnOneConfig::default(),
-                &DeviceBuffer::from_slice(&x),
-                &DeviceBuffer::from_slice(&y),
-                f,
-                &dw,
-                "t",
-            );
-            dw.to_vec()
+            let mut w = vec![0.0f32; g.nnz()];
+            sddmm_edges(&eng, &g, &GnnOneConfig::default(), &x, &y, f, &mut w, "t");
+            w
         };
         let one = run(1);
         assert_eq!(one, run(2));

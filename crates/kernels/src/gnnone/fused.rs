@@ -122,12 +122,12 @@ impl FusedAttentionKernel for FusedGatAttention {
     fn run_native(
         &self,
         eng: &crate::backend::NativeEngine,
-        z: &DeviceBuffer<f32>,
-        el: &DeviceBuffer<f32>,
-        er: &DeviceBuffer<f32>,
+        z: &[f32],
+        el: &[f32],
+        er: &[f32],
         f: usize,
-        y: &DeviceBuffer<f32>,
-        alpha_out: Option<&DeviceBuffer<f32>>,
+        y: &mut [f32],
+        alpha_out: Option<&mut [f32]>,
     ) -> Result<crate::backend::NativeReport, LaunchError> {
         Ok(crate::backend::native::fused_gat_rows(
             eng,

@@ -98,10 +98,10 @@ impl SddmmKernel for GnnOneSddmm {
     fn run_native(
         &self,
         eng: &crate::backend::NativeEngine,
-        x: &DeviceBuffer<f32>,
-        y: &DeviceBuffer<f32>,
+        x: &[f32],
+        y: &[f32],
         f: usize,
-        w: &DeviceBuffer<f32>,
+        w: &mut [f32],
     ) -> Result<crate::backend::NativeReport, LaunchError> {
         Ok(crate::backend::native::sddmm_edges(
             eng,

@@ -96,10 +96,10 @@ impl SpmmKernel for GnnOneSpmm {
     fn run_native(
         &self,
         eng: &crate::backend::NativeEngine,
-        edge_vals: &DeviceBuffer<f32>,
-        x: &DeviceBuffer<f32>,
+        edge_vals: &[f32],
+        x: &[f32],
         f: usize,
-        y: &DeviceBuffer<f32>,
+        y: &mut [f32],
     ) -> Result<crate::backend::NativeReport, LaunchError> {
         Ok(crate::backend::native::spmm_rows(
             eng,

@@ -1,17 +1,19 @@
 //! Plan executor: runs a lowered [`Plan`] on either backend.
 //!
 //! Launch steps run through the one launch path
-//! ([`Kernel::launch`] on the [`Backend`]'s device) onto the registry's
+//! ([`Kernel::launch_host`] on the [`Backend`]'s device) onto the registry's
 //! pipeline kernels (the IR-derived [`IrFusedGat`]/[`IrUAddV`] plus `GnnOneSddmm`
 //! and `GnnOneSpmm` under default config); host fallback steps run on
-//! the CPU. Values move between the two worlds as host vectors — the
-//! executor is a correctness and timing harness for `gnnone-prof fuse`
-//! and the fusion tests, not the training hot path (training tapes embed
-//! plans directly, see `gnnone-gnn`).
+//! the CPU. Every value is a host vector: native launches read and write
+//! them in place, and the simulator uploads and downloads them around
+//! each launch — the executor is a correctness and timing harness for
+//! `gnnone-prof fuse` and the fusion tests, not the training hot path
+//! (training tapes embed plans directly, see `gnnone-gnn`).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use gnnone_sim::{engine::LaunchError, DeviceBuffer};
+use gnnone_sim::engine::LaunchError;
 
 use super::lower::{Plan, Step};
 use super::{IrGraph, OpKind, ValueId};
@@ -77,19 +79,20 @@ pub fn host_edge_softmax(graph: &GraphData, logits: &[f32], alpha: &mut [f32]) {
     }
 }
 
-/// A launch step's kernel, staged input operands, feature length and
-/// output values (the signature's outputs, in order).
-type StagedLaunch = (Kernel, Vec<DeviceBuffer<f32>>, usize, Vec<ValueId>);
+/// A launch step's kernel, input operands, feature length and output
+/// values (the signature's outputs, in order).
+type StagedLaunch<'a> = (Kernel, Vec<Cow<'a, [f32]>>, usize, Vec<ValueId>);
 
-/// Stages a launch step; `None` for host fallback steps.
-fn staged_launch(
+/// Stages a launch step over the host values; `None` for host fallback
+/// steps.
+fn staged_launch<'a>(
     step: &Step,
     graph: &Arc<GraphData>,
-    values: &[Option<Vec<f32>>],
+    values: &'a [Option<Vec<f32>>],
     f: usize,
     width: impl Fn(ValueId) -> usize,
-) -> Option<StagedLaunch> {
-    let dev = |id: ValueId| DeviceBuffer::from_slice(values[id.0].as_deref().unwrap());
+) -> Option<StagedLaunch<'a>> {
+    let host = |id: ValueId| Cow::Borrowed(values[id.0].as_deref().unwrap());
     let g = || Arc::clone(graph);
     let cfg = GnnOneConfig::default();
     Some(match *step {
@@ -102,31 +105,31 @@ fn staged_launch(
             alpha,
         } => (
             Kernel::Fused(Box::new(IrFusedGat::new(g(), slope))),
-            vec![dev(z), dev(el), dev(er)],
+            vec![host(z), host(el), host(er)],
             f,
             [Some(y), alpha].into_iter().flatten().collect(),
         ),
         Step::Sddmm { x, y, out } => (
             Kernel::Sddmm(Box::new(GnnOneSddmm::new(g(), cfg))),
-            vec![dev(x), dev(y)],
+            vec![host(x), host(y)],
             width(x),
             vec![out],
         ),
         Step::Spmm { w, x, out } => (
             Kernel::Spmm(Box::new(GnnOneSpmm::new(g(), cfg))),
-            vec![dev(w), dev(x)],
+            vec![host(w), host(x)],
             width(x),
             vec![out],
         ),
         Step::SpmmOnes { x, out } => (
             Kernel::Spmm(Box::new(GnnOneSpmm::new(g(), cfg))),
-            vec![DeviceBuffer::from_slice(&vec![1.0f32; graph.nnz()]), dev(x)],
+            vec![Cow::Owned(vec![1.0f32; graph.nnz()]), host(x)],
             width(x),
             vec![out],
         ),
         Step::UAddV { el, er, out } => (
             Kernel::EdgeApply(Box::new(IrUAddV::new(g()))),
-            vec![dev(el), dev(er)],
+            vec![host(el), host(er)],
             1,
             vec![out],
         ),
@@ -188,19 +191,24 @@ pub fn execute(
     let mut host_ms = 0.0f64;
     for step in &plan.steps {
         if let Some((kernel, inputs, k, out_ids)) = staged_launch(step, graph, &values, f, width) {
-            let outputs: Vec<DeviceBuffer<f32>> = kernel
+            let mut outputs: Vec<Vec<f32>> = kernel
                 .output_lens(k)
                 .take(out_ids.len())
-                .map(DeviceBuffer::zeros)
+                .map(|len| vec![0.0; len])
                 .collect();
-            reports.push(kernel.launch(
-                backend.device(),
-                &inputs.iter().collect::<Vec<_>>(),
-                k,
-                &outputs.iter().collect::<Vec<_>>(),
-            )?);
-            for (id, out) in out_ids.iter().zip(&outputs) {
-                values[id.0] = Some(out.to_vec());
+            reports.push(
+                kernel.launch_host(
+                    backend.device(),
+                    &inputs.iter().map(|c| &**c).collect::<Vec<_>>(),
+                    k,
+                    &mut outputs
+                        .iter_mut()
+                        .map(Vec::as_mut_slice)
+                        .collect::<Vec<_>>(),
+                )?,
+            );
+            for (id, out) in out_ids.iter().zip(outputs) {
+                values[id.0] = Some(out);
             }
             continue;
         }

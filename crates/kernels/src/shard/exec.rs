@@ -15,18 +15,22 @@
 //!    interconnect and verifying a content checksum on arrival — a fired
 //!    [`ShardFaultKind::HaloDrop`] corrupts the received payload, the
 //!    checksum mismatches, and the gather is retried from the owners;
-//! 3. rebuilds every vertex-indexed operand in shard-local form (zeros
-//!    outside owned ∪ halo — the kernel reads nothing else);
+//! 3. builds every vertex-indexed operand in the shard's local vertex
+//!    space ([`super::shard_graphs`]): `halo-below ++ owned ++ halo-above`,
+//!    the owned rows copied locally and the halo rows taken from the
+//!    received payload, so staging is O(owned + halo) rows, never O(|V|);
 //! 4. launches the registry kernel for this shard on its device (simulated
-//!    GPU or per-shard rayon pool). A fired [`ShardFaultKind::ShardKill`]
+//!    GPU or per-shard rayon pool) through [`Kernel::launch_host`]: the
+//!    native engine reads the host operands in place, the simulator
+//!    uploads and downloads them. A fired [`ShardFaultKind::ShardKill`]
 //!    discards the result as a [`gnnone_sim::AbortReason::ChaosKill`]; a
 //!    fired [`ShardFaultKind::ShardStall`] inflates the reported time past
 //!    the per-shard deadline so the watchdog check trips;
 //! 5. checks the per-shard watchdog deadline on every launch;
-//! 6. on success, merges the shard's output into its disjoint global
-//!    interval (proved sound at construction by [`super::verify`]) — the
-//!    merged prefix is the checkpoint: a later shard's failure never
-//!    re-executes earlier shards.
+//! 6. on success, merges the owned span of the shard's output into its
+//!    disjoint global interval (proved sound at construction by
+//!    [`super::verify`]) — the merged prefix is the checkpoint: a later
+//!    shard's failure never re-executes earlier shards.
 //!
 //! On failure the loop backs off deterministically
 //! ([`RetryPolicy::backoff_ms`], the same policy `SweepGuard` runs whole
@@ -37,6 +41,7 @@
 //! checkpointed-shard count, and armed fault — a typed partial-result
 //! decline; the executor never returns a silently zero-filled output.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -44,16 +49,14 @@ use gnnone_sim::chaos::ShardFaultKind;
 use gnnone_sim::engine::LaunchError;
 use gnnone_sim::jsonio::Json;
 use gnnone_sim::topology::MultiGpu;
-use gnnone_sim::{
-    AbortReason, DeviceBuffer, GnnOneError, GpuSpec, KernelAbort, ShardAbort, ValidationError,
-};
+use gnnone_sim::{AbortReason, GnnOneError, GpuSpec, KernelAbort, ShardAbort, ValidationError};
 use gnnone_sparse::RowPartition;
 
 use crate::backend::{BackendKind, Device, NativeEngine};
 use crate::graph::GraphData;
 use crate::ir::Space;
 use crate::shard::verify::{verify_merge, MergeTarget};
-use crate::shard::{halo_vertices, partition_graph, shard_graphs};
+use crate::shard::{halo_below, halo_vertices, partition_graph, shard_graphs};
 use crate::traits::{Kernel, SddmmKernel, Signature, SpmmKernel};
 
 /// Where shards execute: K simulated devices joined by a modeled
@@ -122,7 +125,8 @@ impl ShardTopology {
 }
 
 /// Bounded deterministic retry: up to `max_attempts` tries per shard with
-/// backoff `backoff_base_ms << (attempt - 1)` between them — the one retry
+/// backoff `backoff_base_ms << min(attempt - 1, 16)` between them (the
+/// shift stops growing after 16 doublings) — the one retry
 /// ladder of the system, applied to individual shards here and to whole
 /// sweep cells by `SweepGuard`. An optional seeded jitter term
 /// (splitmix64, the same expander the chaos engine uses for targeting)
@@ -155,7 +159,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff applied after failed attempt `attempt` (1-based): the
-    /// exponential ladder `backoff_base_ms << (attempt - 1)` plus a
+    /// exponential ladder `backoff_base_ms << min(attempt - 1, 16)` plus a
     /// deterministic jitter in `0..=jitter_ms` drawn from
     /// `splitmix64(seed ^ attempt)`.
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
@@ -353,12 +357,12 @@ impl ShardedExecutor {
                 .into());
             }
         }
-        let shard_graphs = shard_graphs(&graph, &partition)?;
-        let halos = partition
+        let halos: Vec<Vec<u32>> = partition
             .shards()
             .iter()
             .map(|s| halo_vertices(&graph, s))
             .collect();
+        let shard_graphs = shard_graphs(&graph, &partition, &halos)?;
         Ok(Self {
             graph,
             partition,
@@ -407,10 +411,6 @@ impl ShardedExecutor {
     /// on *every* shard launch, not just injected stalls).
     pub fn set_deadline_ms(&mut self, ms: f64) {
         self.deadline_ms = ms;
-    }
-
-    fn num_rows(&self) -> usize {
-        self.partition.num_rows()
     }
 
     /// Resolves the armed fault to its firing point for one run. Kill,
@@ -505,27 +505,33 @@ impl ShardedExecutor {
         Ok(received)
     }
 
-    /// Rebuilds one vertex-indexed operand in shard-local form: zeros
-    /// everywhere except the owned row span (copied locally) and the halo
-    /// rows (scattered from the *received* transfer payload — the real
-    /// data path a dropped halo would corrupt).
-    fn rebuild_operand(&self, s: usize, data: &[f32], width: usize, halo_data: &[f32]) -> Vec<f32> {
+    /// Builds one vertex-indexed operand in shard `s`'s local vertex space,
+    /// `halo-below ++ owned ++ halo-above`: the owned row span copied
+    /// locally (borrowed in place when the shard has no halo), the halo
+    /// rows from the *received* transfer payload — the real data path a
+    /// dropped halo would corrupt.
+    fn local_operand<'a>(
+        &self,
+        s: usize,
+        data: &'a [f32],
+        width: usize,
+        halo_data: &[f32],
+    ) -> Cow<'a, [f32]> {
         let spec = &self.partition.shards()[s];
-        let mut out = vec![0.0f32; self.num_rows() * width];
-        out[spec.row_start * width..spec.row_end * width]
-            .copy_from_slice(&data[spec.row_start * width..spec.row_end * width]);
-        for (k, &v) in self.halos[s].iter().enumerate() {
-            let base = v as usize * width;
-            out[base..base + width].copy_from_slice(&halo_data[k * width..(k + 1) * width]);
+        let owned = &data[spec.row_start * width..spec.row_end * width];
+        if halo_data.is_empty() {
+            return Cow::Borrowed(owned);
         }
-        out
+        let (below, above) = halo_data.split_at(halo_below(&self.halos[s], spec) * width);
+        Cow::Owned([below, owned, above].concat())
     }
 
     /// Runs any registry kernel sharded. `make` builds the kernel over a
-    /// shard graph; `inputs` follow its [`Signature`]: vertex operands are
-    /// halo-exchanged at their width, edge operands sliced to each shard's
-    /// edge range. Returns every signature output merged — vertex outputs
-    /// by owned row, edge outputs by edge range (the fused kernel's α is
+    /// shard graph; `inputs` follow its [`Signature`] in the global vertex
+    /// space: vertex operands are halo-exchanged at their width into each
+    /// shard's local space, edge operands sliced to each shard's edge
+    /// range. Returns every signature output merged — vertex outputs by
+    /// owned row, edge outputs by edge range (the fused kernel's α is
     /// always produced) — and the run report.
     pub fn run(
         &self,
@@ -579,15 +585,16 @@ impl ShardedExecutor {
                         report.compute_ms += ms;
                         report.transfer_ms += t_ms;
                         report.transfer_bytes += t_bytes;
+                        let below = halo_below(&self.halos[s], &spec);
                         for ((dst, src), &(space, dim)) in
                             merged.iter_mut().zip(&outputs).zip(sig.outputs)
                         {
                             let w = dim.len(f);
                             match space {
-                                Space::Vertex => {
-                                    let rows = spec.row_start * w..spec.row_end * w;
-                                    dst[rows.clone()].copy_from_slice(&src[rows]);
-                                }
+                                Space::Vertex => dst[spec.row_start * w..spec.row_end * w]
+                                    .copy_from_slice(
+                                        &src[below * w..(below + spec.num_rows()) * w],
+                                    ),
                                 Space::Edge => {
                                     dst[spec.edge_start * w..spec.edge_end * w].copy_from_slice(src)
                                 }
@@ -629,9 +636,9 @@ impl ShardedExecutor {
     }
 
     /// One supervised attempt at one shard: fault consult → halo gather →
-    /// operand rebuild → launch → kill/stall injection → deadline check.
-    /// Returns the shard's raw outputs (vertex outputs full-length, edge
-    /// outputs shard-local) and its kernel time.
+    /// local operands → launch → kill/stall injection → deadline check.
+    /// Returns the shard's raw outputs (vertex outputs over its local
+    /// vertex space, edge outputs over its edge range) and its kernel time.
     #[allow(clippy::too_many_arguments)]
     fn attempt_shard(
         &self,
@@ -653,36 +660,30 @@ impl ShardedExecutor {
             }
         }
         let spec = self.partition.shards()[s];
-        let mut rebuilt = Vec::with_capacity(inputs.len());
+        let mut local = Vec::with_capacity(inputs.len());
         for (&data, &(space, dim)) in inputs.iter().zip(sig.inputs) {
-            if space == Space::Vertex {
-                let w = dim.len(f);
-                let halo_data = self.gather_halo(s, data, w, plan, transfer_ms, transfer_bytes)?;
-                rebuilt.push(self.rebuild_operand(s, data, w, &halo_data));
-            }
+            let w = dim.len(f);
+            local.push(match space {
+                Space::Vertex => {
+                    let halo_data =
+                        self.gather_halo(s, data, w, plan, transfer_ms, transfer_bytes)?;
+                    self.local_operand(s, data, w, &halo_data)
+                }
+                Space::Edge => Cow::Borrowed(&data[spec.edge_start * w..spec.edge_end * w]),
+            });
         }
         *launches += 1;
         let kernel = make(&self.shard_graphs[s]);
-        let mut rebuilt = rebuilt.iter();
-        let staged: Vec<DeviceBuffer<f32>> = inputs
-            .iter()
-            .zip(sig.inputs)
-            .map(|(&data, &(space, dim))| match space {
-                Space::Vertex => DeviceBuffer::from_slice(rebuilt.next().expect("rebuilt")),
-                Space::Edge => {
-                    let w = dim.len(f);
-                    DeviceBuffer::from_slice(&data[spec.edge_start * w..spec.edge_end * w])
-                }
-            })
-            .collect();
-        let outputs: Vec<DeviceBuffer<f32>> =
-            kernel.output_lens(f).map(DeviceBuffer::zeros).collect();
+        let mut outputs: Vec<Vec<f32>> = kernel.output_lens(f).map(|n| vec![0.0; n]).collect();
         let mut ms = kernel
-            .launch(
+            .launch_host(
                 self.topology.device(s),
-                &staged.iter().collect::<Vec<_>>(),
+                &local.iter().map(|c| &**c).collect::<Vec<_>>(),
                 f,
-                &outputs.iter().collect::<Vec<_>>(),
+                &mut outputs
+                    .iter_mut()
+                    .map(Vec::as_mut_slice)
+                    .collect::<Vec<_>>(),
             )?
             .time_ms;
         if let Some(p) = plan.as_mut() {
@@ -720,7 +721,7 @@ impl ShardedExecutor {
                 reason: AbortReason::Watchdog,
             }));
         }
-        Ok((outputs.iter().map(DeviceBuffer::to_vec).collect(), ms))
+        Ok((outputs, ms))
     }
 
     /// Runs an SDDMM kernel sharded; a forward into [`Self::run`].

@@ -9,16 +9,20 @@
 //!   native backend's greedy block policy
 //!   ([`crate::backend::native::row_blocks`]), so sharding and CPU row
 //!   blocking share one load-balancing story.
-//! * [`shard_graphs`] — each shard materialized as a full-vertex-space
-//!   [`GraphData`] over its contiguous edge range; every registry kernel
-//!   runs on it unchanged.
+//! * [`shard_graphs`] — each shard materialized as a [`GraphData`] over
+//!   its contiguous edge range in a **local vertex space**: its owned rows
+//!   plus its halo ([`halo_vertices`]), numbered in ascending global id.
+//!   The renumbering is monotone, so CSR edge order and each row's column
+//!   order are unchanged, and every registry kernel runs on it unchanged.
 //! * [`ShardedExecutor`] — drives any SpMM / SDDMM / SpMV / edge-apply /
 //!   fused kernel shard-by-shard across a [`ShardTopology`] (a simulated
 //!   [`gnnone_sim::MultiGpu`] with modeled interconnect halo transfers, or
-//!   per-shard rayon pools on the native backend), merging shard outputs
-//!   into disjoint row/edge ranges. Because shards are row-aligned, each
-//!   row's full adjacency lives in exactly one shard, so the merged result
-//!   is **bitwise-identical** to the unsharded kernel whenever per-row
+//!   per-shard rayon pools on the native backend), staging each shard's
+//!   operands in its local space (O(owned + halo) rows, not O(|V|)) and
+//!   merging the owned span of each shard's outputs into disjoint row/edge
+//!   ranges. Because shards are row-aligned, each row's full adjacency
+//!   lives in exactly one shard, so the merged result is
+//!   **bitwise-identical** to the unsharded kernel whenever per-row
 //!   reduction order is (as on the native backend, or with integer-valued
 //!   features on either backend).
 //! * The supervision loop in [`ShardedExecutor`] adds production fault
@@ -84,15 +88,21 @@ pub fn partition_graph(graph: &GraphData, k: usize) -> Result<RowPartition, Vali
     RowPartition::try_from_row_splits(offsets, &blocks)
 }
 
-/// Materializes each shard as a [`GraphData`] in the **full** vertex space:
-/// shard `s` holds exactly the global edge range `[edge_start, edge_end)`
-/// with unchanged row/column ids, so its CSR has empty rows outside the
-/// owned range and every registry kernel runs on it without reindexing.
-/// The K = 1 partition returns the original graph untouched — sharded
-/// execution over it is byte-identical to the unsharded kernel.
+/// Materializes each shard as a [`GraphData`] over its **local** vertex
+/// space: shard `s` holds exactly the global edge range
+/// `[edge_start, edge_end)`, renumbered onto its owned rows plus its halo
+/// `halos[s]` (as [`halo_vertices`] computes it) in ascending global id —
+/// `halo-below ++ owned ++ halo-above`, so the owned rows are one
+/// contiguous local range starting after the halo rows below them. The
+/// renumbering is monotone, so the edge order and every row's column
+/// order are unchanged and each per-row reduction replays in its
+/// original order. Halo rows have no edges. The K = 1 partition returns
+/// the original graph untouched — sharded execution over it is
+/// byte-identical to the unsharded kernel.
 pub fn shard_graphs(
     graph: &Arc<GraphData>,
     partition: &RowPartition,
+    halos: &[Vec<u32>],
 ) -> Result<Vec<Arc<GraphData>>, ValidationError> {
     if partition.num_shards() == 1 {
         return Ok(vec![Arc::clone(graph)]);
@@ -102,16 +112,43 @@ pub fn shard_graphs(
     partition
         .shards()
         .iter()
-        .map(|s| {
+        .zip(halos)
+        .map(|(s, halo)| {
+            let below = halo_below(halo, s);
+            let owned = s.num_rows();
+            let local = |v: u32| {
+                let g = v as usize;
+                let id = if (s.row_start..s.row_end).contains(&g) {
+                    below + g - s.row_start
+                } else {
+                    let i = halo
+                        .binary_search(&v)
+                        .expect("halos[s] holds every column outside shard s's rows");
+                    if i < below {
+                        i
+                    } else {
+                        owned + i
+                    }
+                };
+                id as u32
+            };
+            let edges = s.edge_start..s.edge_end;
+            let n = owned + halo.len();
             let coo = Coo::try_from_sorted(
-                graph.coo.num_rows(),
-                graph.coo.num_cols(),
-                rows[s.edge_start..s.edge_end].to_vec(),
-                cols[s.edge_start..s.edge_end].to_vec(),
+                n,
+                n,
+                rows[edges.clone()].iter().map(|&r| local(r)).collect(),
+                cols[edges].iter().map(|&c| local(c)).collect(),
             )?;
             Ok(Arc::new(GraphData::new(coo)))
         })
         .collect()
+}
+
+/// How many of a shard's halo vertices lie below its owned rows: the
+/// local id of its first owned row.
+pub(crate) fn halo_below(halo: &[u32], spec: &ShardSpec) -> usize {
+    halo.partition_point(|&v| (v as usize) < spec.row_start)
 }
 
 /// The halo of one shard: the sorted, deduplicated vertices its edges read
@@ -163,25 +200,58 @@ mod tests {
         assert_eq!(p.num_shards(), 8);
         assert!(p.stats().empty_shards >= 5);
         // Shard graphs still build, and coverage is exact.
-        let graphs = shard_graphs(&g, &p).unwrap();
+        let halos: Vec<Vec<u32>> = p.shards().iter().map(|s| halo_vertices(&g, s)).collect();
+        let graphs = shard_graphs(&g, &p, &halos).unwrap();
         let total: usize = graphs.iter().map(|g| g.nnz()).sum();
         assert_eq!(total, 3);
     }
 
     #[test]
-    fn shard_graphs_keep_full_vertex_space() {
-        let g = ring(16);
+    fn shard_graphs_use_local_vertex_spaces() {
+        // A ring plus chords, so shards have halo vertices both below and
+        // above their owned rows.
+        let n = 24u32;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|v| [(v, (v + 1) % n), (v, (v + 7) % n), (v, (v + n - 5) % n)])
+            .collect();
+        let g = Arc::new(GraphData::new(Coo::from_edge_list(&EdgeList::new(
+            n as usize, edges,
+        ))));
         let p = partition_graph(&g, 4).unwrap();
-        let graphs = shard_graphs(&g, &p).unwrap();
-        for (spec, sg) in p.shards().iter().zip(&graphs) {
-            assert_eq!(sg.num_vertices(), 16);
+        let halos: Vec<Vec<u32>> = p.shards().iter().map(|s| halo_vertices(&g, s)).collect();
+        let graphs = shard_graphs(&g, &p, &halos).unwrap();
+        for ((spec, halo), sg) in p.shards().iter().zip(&halos).zip(&graphs) {
+            assert_eq!(sg.num_vertices(), spec.num_rows() + halo.len());
             assert_eq!(sg.nnz(), spec.nnz());
-            // Edge slice is preserved verbatim.
-            assert_eq!(sg.coo.rows(), &g.coo.rows()[spec.edge_start..spec.edge_end]);
+            let below = halo_below(halo, spec);
+            // Every shard but the first reads rows below its own, and
+            // every shard but the last reads rows above.
+            assert_eq!(below > 0, spec.shard > 0, "{spec:?}");
+            assert_eq!(below < halo.len(), spec.shard < 3, "{spec:?}");
+            // Local id → global id: halo-below ++ owned ++ halo-above.
+            let global: Vec<u32> = halo[..below]
+                .iter()
+                .copied()
+                .chain(spec.row_start as u32..spec.row_end as u32)
+                .chain(halo[below..].iter().copied())
+                .collect();
+            assert!(
+                global.windows(2).all(|w| w[0] < w[1]),
+                "ascending global ids"
+            );
+            let to_global =
+                |ids: &[u32]| -> Vec<u32> { ids.iter().map(|&l| global[l as usize]).collect() };
+            let edges = spec.edge_start..spec.edge_end;
+            assert_eq!(to_global(sg.coo.rows()), &g.coo.rows()[edges.clone()]);
+            assert_eq!(to_global(sg.coo.cols()), &g.coo.cols()[edges]);
+            // The owned rows are one contiguous local range; no other
+            // local row has an edge.
+            let owned = below as u32..(below + spec.num_rows()) as u32;
+            assert!(sg.coo.rows().iter().all(|r| owned.contains(r)));
         }
         // K=1 reuses the original allocation.
         let p1 = partition_graph(&g, 1).unwrap();
-        let g1 = shard_graphs(&g, &p1).unwrap();
+        let g1 = shard_graphs(&g, &p1, &[halo_vertices(&g, &p1.shards()[0])]).unwrap();
         assert!(Arc::ptr_eq(&g1[0], &g));
     }
 

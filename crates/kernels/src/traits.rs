@@ -7,20 +7,23 @@
 //! one-time cost outside the timed launch, matching how the paper treats
 //! custom formats (§5.4.5).
 //!
-//! Every trait is **backend-portable**: `run` executes on the simulator,
-//! `run_native` executes the same operands on the native CPU engine
-//! ([`NativeEngine`]), and `graph` exposes the captured graph tensors so
-//! a backend can schedule the launch itself. `run_native` has a provided
-//! implementation that routes to the shared native routines in
-//! [`crate::backend::native`] (picking the edge- or row-parallel path
-//! from the kernel's declared format); kernels with their own schedule
-//! knobs (the GNNOne family) override it to honour their config.
+//! Every trait is **backend-portable**: `run` executes on the simulator
+//! over device buffers, `run_native` executes the same operands on the
+//! native CPU engine ([`NativeEngine`]) as plain host slices, and `graph`
+//! exposes the captured graph tensors so a backend can schedule the
+//! launch itself. `run_native` has a provided implementation that routes
+//! to the shared native routines in [`crate::backend::native`] (picking
+//! the edge- or row-parallel path from the kernel's declared format);
+//! kernels with their own schedule knobs (the GNNOne family) override it
+//! to honour their config.
 //!
 //! The five family traits differ only in their operands. [`Kernel`] tags
 //! a boxed kernel with its family ([`Op`]), describes those operands as
-//! IR `(Space, Dim)` pairs ([`Signature`]), and owns the one launch path:
-//! [`Kernel::launch`] on a [`Device`] is the only place that matches a
-//! kernel family against a backend.
+//! IR `(Space, Dim)` pairs ([`Signature`]), and owns the one launch path
+//! in two operand forms: [`Kernel::launch`] over device buffers and
+//! [`Kernel::launch_host`] over host slices. They are the only place that
+//! matches a kernel family against a backend, and the only place a native
+//! launch copies between device buffers and host vectors.
 
 use gnnone_sim::{engine::LaunchError, DeviceBuffer, Gpu, KernelReport};
 
@@ -59,7 +62,9 @@ const E_1: Operand = (Space::Edge, Dim::One);
 pub struct Signature {
     /// Operands the kernel reads.
     pub inputs: &'static [Operand],
-    /// Operands the kernel writes (zeroed by the caller).
+    /// Operands the kernel writes. Vertex outputs are row reductions that
+    /// accumulate into what the caller passes (zeros, for a plain launch);
+    /// edge outputs are overwritten whole.
     pub outputs: &'static [Operand],
 }
 
@@ -131,17 +136,6 @@ macro_rules! each_family {
     };
 }
 
-/// Runs family trait object `$k` on `$device` — `run` on the simulator,
-/// `run_native` on a native engine — with the family's operands.
-macro_rules! on_device {
-    ($k:expr, $device:expr, $($arg:expr),+) => {
-        match $device {
-            Device::Sim(gpu) => $k.run(gpu, $($arg),+).map(ExecReport::from_sim),
-            Device::Native(eng) => $k.run_native(eng, $($arg),+).map(ExecReport::from_native),
-        }
-    };
-}
-
 impl Kernel {
     /// System name as used in the paper's figures.
     pub fn name(&self) -> &'static str {
@@ -175,8 +169,8 @@ impl Kernel {
     }
 
     /// Element counts of the signature's outputs, in order, over the
-    /// graph the kernel was built on (a shard graph keeps every vertex
-    /// but only the shard's edges).
+    /// graph the kernel was built on (a shard graph holds only the
+    /// shard's edges, over its local vertex space).
     pub fn output_lens(&self, f: usize) -> impl Iterator<Item = usize> + '_ {
         let graph = self.graph();
         self.signature()
@@ -211,6 +205,20 @@ impl Kernel {
         self.borrowed().launch(device, inputs, f, outputs)
     }
 
+    /// [`Self::launch`] over host operands: runs in place on a native
+    /// engine, and uploads the operands to (and downloads the outputs
+    /// from) device buffers on the simulator. Outputs follow the same
+    /// contract as device-buffer outputs.
+    pub fn launch_host(
+        &self,
+        device: Device<'_>,
+        inputs: &[&[f32]],
+        f: usize,
+        outputs: &mut [&mut [f32]],
+    ) -> Result<ExecReport, LaunchError> {
+        self.borrowed().launch_host(device, inputs, f, outputs)
+    }
+
     fn borrowed(&self) -> KernelRef<'_> {
         match self {
             Kernel::Sddmm(k) => KernelRef::Sddmm(k.as_ref()),
@@ -233,7 +241,57 @@ impl KernelRef<'_> {
         }
     }
 
-    /// The one launch path; see [`Kernel::launch`].
+    /// Panics unless the operand counts fit the family's signature (the
+    /// fused α output is optional).
+    fn check_arity(self, inputs: usize, outputs: usize) {
+        let sig = self.op().signature();
+        assert!(
+            inputs == sig.inputs.len() && outputs > 0 && outputs <= sig.outputs.len(),
+            "{} launch takes {} inputs and up to {} outputs, got {inputs} and {outputs}",
+            self.op().as_str(),
+            sig.inputs.len(),
+            sig.outputs.len(),
+        );
+    }
+
+    /// The family's simulator launch.
+    fn run_sim(
+        self,
+        gpu: &Gpu,
+        i: &[&DeviceBuffer<f32>],
+        f: usize,
+        o: &[&DeviceBuffer<f32>],
+    ) -> Result<KernelReport, LaunchError> {
+        let alpha = o.get(1).copied();
+        match self {
+            KernelRef::Sddmm(k) => k.run(gpu, i[0], i[1], f, o[0]),
+            KernelRef::Spmm(k) => k.run(gpu, i[0], i[1], f, o[0]),
+            KernelRef::Spmv(k) => k.run(gpu, i[0], i[1], o[0]),
+            KernelRef::EdgeApply(k) => k.run(gpu, i[0], i[1], o[0]),
+            KernelRef::Fused(k) => k.run(gpu, i[0], i[1], i[2], f, o[0], alpha),
+        }
+    }
+
+    /// The family's native launch, over host slices.
+    fn run_native(
+        self,
+        eng: &NativeEngine,
+        i: &[&[f32]],
+        f: usize,
+        o: &mut [&mut [f32]],
+    ) -> Result<NativeReport, LaunchError> {
+        let (out, rest) = o.split_first_mut().expect("arity checked");
+        let alpha = rest.first_mut().map(|a| &mut **a);
+        match self {
+            KernelRef::Sddmm(k) => k.run_native(eng, i[0], i[1], f, out),
+            KernelRef::Spmm(k) => k.run_native(eng, i[0], i[1], f, out),
+            KernelRef::Spmv(k) => k.run_native(eng, i[0], i[1], out),
+            KernelRef::EdgeApply(k) => k.run_native(eng, i[0], i[1], out),
+            KernelRef::Fused(k) => k.run_native(eng, i[0], i[1], i[2], f, out, alpha),
+        }
+    }
+
+    /// The one launch path over device buffers; see [`Kernel::launch`].
     pub(crate) fn launch(
         self,
         device: Device<'_>,
@@ -241,23 +299,68 @@ impl KernelRef<'_> {
         f: usize,
         o: &[&DeviceBuffer<f32>],
     ) -> Result<ExecReport, LaunchError> {
-        let sig = self.op().signature();
-        assert!(
-            i.len() == sig.inputs.len() && !o.is_empty() && o.len() <= sig.outputs.len(),
-            "{} launch takes {} inputs and up to {} outputs, got {} and {}",
-            self.op().as_str(),
-            sig.inputs.len(),
-            sig.outputs.len(),
-            i.len(),
-            o.len()
-        );
-        let alpha = o.get(1).copied();
-        match self {
-            KernelRef::Sddmm(k) => on_device!(k, device, i[0], i[1], f, o[0]),
-            KernelRef::Spmm(k) => on_device!(k, device, i[0], i[1], f, o[0]),
-            KernelRef::Spmv(k) => on_device!(k, device, i[0], i[1], o[0]),
-            KernelRef::EdgeApply(k) => on_device!(k, device, i[0], i[1], o[0]),
-            KernelRef::Fused(k) => on_device!(k, device, i[0], i[1], i[2], f, o[0], alpha),
+        self.check_arity(i.len(), o.len());
+        match device {
+            Device::Sim(gpu) => self.run_sim(gpu, i, f, o).map(ExecReport::from_sim),
+            Device::Native(eng) => {
+                // The only place a native launch stages device buffers:
+                // inputs are read out, and each output starts from what the
+                // family does with it — vertex outputs are row reductions
+                // that accumulate into the buffer's contents, edge outputs
+                // are overwritten whole and start from zeros.
+                let inputs: Vec<Vec<f32>> = i.iter().map(|b| b.to_vec()).collect();
+                let mut outputs: Vec<Vec<f32>> = o
+                    .iter()
+                    .zip(self.op().signature().outputs)
+                    .map(|(b, &(space, _))| match space {
+                        Space::Vertex => b.to_vec(),
+                        Space::Edge => vec![0.0; b.len()],
+                    })
+                    .collect();
+                let report = self.run_native(
+                    eng,
+                    &inputs.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                    f,
+                    &mut outputs
+                        .iter_mut()
+                        .map(Vec::as_mut_slice)
+                        .collect::<Vec<_>>(),
+                )?;
+                for (b, host) in o.iter().zip(&outputs) {
+                    b.copy_from_slice(host);
+                }
+                Ok(ExecReport::from_native(report))
+            }
+        }
+    }
+
+    /// The one launch path over host operands; see [`Kernel::launch_host`].
+    pub(crate) fn launch_host(
+        self,
+        device: Device<'_>,
+        i: &[&[f32]],
+        f: usize,
+        o: &mut [&mut [f32]],
+    ) -> Result<ExecReport, LaunchError> {
+        self.check_arity(i.len(), o.len());
+        match device {
+            Device::Native(eng) => self.run_native(eng, i, f, o).map(ExecReport::from_native),
+            Device::Sim(gpu) => {
+                let inputs: Vec<DeviceBuffer<f32>> =
+                    i.iter().map(|h| DeviceBuffer::from_slice(h)).collect();
+                let outputs: Vec<DeviceBuffer<f32>> =
+                    o.iter().map(|h| DeviceBuffer::from_slice(h)).collect();
+                let report = self.run_sim(
+                    gpu,
+                    &inputs.iter().collect::<Vec<_>>(),
+                    f,
+                    &outputs.iter().collect::<Vec<_>>(),
+                )?;
+                for (host, b) in o.iter_mut().zip(&outputs) {
+                    host.copy_from_slice(&b.to_vec());
+                }
+                Ok(ExecReport::from_sim(report))
+            }
         }
     }
 }
@@ -286,15 +389,16 @@ pub trait SpmmKernel: Send + Sync {
         y: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend: row-split
-    /// over nnz-balanced row blocks, bit-identical across thread counts.
+    /// Executes the same launch on the native CPU backend, over host
+    /// slices: row-split over nnz-balanced row blocks, bit-identical
+    /// across thread counts.
     fn run_native(
         &self,
         eng: &NativeEngine,
-        edge_vals: &DeviceBuffer<f32>,
-        x: &DeviceBuffer<f32>,
+        edge_vals: &[f32],
+        x: &[f32],
         f: usize,
-        y: &DeviceBuffer<f32>,
+        y: &mut [f32],
     ) -> Result<NativeReport, LaunchError> {
         Ok(native::spmm_rows(
             eng,
@@ -359,16 +463,17 @@ pub trait SddmmKernel: Send + Sync {
         w: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend. COO kernels
-    /// take the edge-parallel path; CSR/custom (vertex-parallel) kernels
-    /// take the row-parallel path, matching their launch geometry.
+    /// Executes the same launch on the native CPU backend, over host
+    /// slices. COO kernels take the edge-parallel path; CSR/custom
+    /// (vertex-parallel) kernels take the row-parallel path, matching
+    /// their launch geometry.
     fn run_native(
         &self,
         eng: &NativeEngine,
-        x: &DeviceBuffer<f32>,
-        y: &DeviceBuffer<f32>,
+        x: &[f32],
+        y: &[f32],
         f: usize,
-        w: &DeviceBuffer<f32>,
+        w: &mut [f32],
     ) -> Result<NativeReport, LaunchError> {
         Ok(if self.format() == "COO" {
             native::sddmm_edges(
@@ -443,14 +548,14 @@ pub trait EdgeApplyKernel: Send + Sync {
         w: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend
-    /// (edge-parallel over contiguous NZE blocks).
+    /// Executes the same launch on the native CPU backend, over host
+    /// slices (edge-parallel over contiguous NZE blocks).
     fn run_native(
         &self,
         eng: &NativeEngine,
-        el: &DeviceBuffer<f32>,
-        er: &DeviceBuffer<f32>,
-        w: &DeviceBuffer<f32>,
+        el: &[f32],
+        er: &[f32],
+        w: &mut [f32],
     ) -> Result<NativeReport, LaunchError> {
         Ok(native::u_add_v_edges(
             eng,
@@ -513,20 +618,20 @@ pub trait FusedAttentionKernel: Send + Sync {
         alpha_out: Option<&DeviceBuffer<f32>>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend. No provided
-    /// implementation: fused attention carries kernel-specific state
-    /// (e.g. the LeakyReLU slope), so each implementation routes to the
-    /// native routine itself.
+    /// Executes the same launch on the native CPU backend, over host
+    /// slices. No provided implementation: fused attention carries
+    /// kernel-specific state (e.g. the LeakyReLU slope), so each
+    /// implementation routes to the native routine itself.
     #[allow(clippy::too_many_arguments)]
     fn run_native(
         &self,
         eng: &NativeEngine,
-        z: &DeviceBuffer<f32>,
-        el: &DeviceBuffer<f32>,
-        er: &DeviceBuffer<f32>,
+        z: &[f32],
+        el: &[f32],
+        er: &[f32],
         f: usize,
-        y: &DeviceBuffer<f32>,
-        alpha_out: Option<&DeviceBuffer<f32>>,
+        y: &mut [f32],
+        alpha_out: Option<&mut [f32]>,
     ) -> Result<NativeReport, LaunchError>;
 
     /// Symbolic access summary under one execution model, or `None` when
@@ -560,14 +665,14 @@ pub trait SpmvKernel: Send + Sync {
         y: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend (row-split,
-    /// scalar features).
+    /// Executes the same launch on the native CPU backend, over host
+    /// slices (row-split, scalar features).
     fn run_native(
         &self,
         eng: &NativeEngine,
-        edge_vals: &DeviceBuffer<f32>,
-        x: &DeviceBuffer<f32>,
-        y: &DeviceBuffer<f32>,
+        edge_vals: &[f32],
+        x: &[f32],
+        y: &mut [f32],
     ) -> Result<NativeReport, LaunchError> {
         Ok(native::spmv_rows(
             eng,

@@ -157,20 +157,17 @@ fn native_lattice_matches_reference() {
             let w = features(g.nnz(), 1, 23);
             let sddmm_ref = reference::sddmm_coo(&g.coo, &x, &y, f);
             let spmm_ref = reference::spmm_csr(&g.csr, &w, &x, f);
-            let dx = DeviceBuffer::from_slice(&x);
-            let dyv = DeviceBuffer::from_slice(&y);
-            let dwv = DeviceBuffer::from_slice(&w);
             for cfg in config_lattice() {
-                let dw = DeviceBuffer::<f32>::zeros(g.nnz());
+                let mut dw = vec![0.0f32; g.nnz()];
                 GnnOneSddmm::new(Arc::clone(&g), cfg)
-                    .run_native(&ng, &dx, &dyv, f, &dw)
+                    .run_native(&ng, &x, &y, f, &mut dw)
                     .unwrap();
-                reference::assert_close(&dw.to_vec(), &sddmm_ref, 1e-3);
-                let dy = DeviceBuffer::<f32>::zeros(nv * f);
+                reference::assert_close(&dw, &sddmm_ref, 1e-3);
+                let mut dy = vec![0.0f32; nv * f];
                 GnnOneSpmm::new(Arc::clone(&g), cfg)
-                    .run_native(&ng, &dwv, &dx, f, &dy)
+                    .run_native(&ng, &w, &x, f, &mut dy)
                     .unwrap();
-                reference::assert_close(&dy.to_vec(), &spmm_ref, 1e-3);
+                reference::assert_close(&dy, &spmm_ref, 1e-3);
             }
         }
     }

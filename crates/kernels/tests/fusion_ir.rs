@@ -52,9 +52,14 @@ fn lowered_gat_is_byte_identical_to_handwritten() {
     for g in graphs() {
         let nv = g.num_vertices();
         let nnz = g.nnz();
-        let dz = DeviceBuffer::from_slice(&features(nv, f, 41));
-        let del = DeviceBuffer::from_slice(&features(nv, 1, 43));
-        let der = DeviceBuffer::from_slice(&features(nv, 1, 47));
+        let (z, el, er) = (
+            features(nv, f, 41),
+            features(nv, 1, 43),
+            features(nv, 1, 47),
+        );
+        let dz = DeviceBuffer::from_slice(&z);
+        let del = DeviceBuffer::from_slice(&el);
+        let der = DeviceBuffer::from_slice(&er);
         let hand = FusedGatAttention::new(Arc::clone(&g), 0.2);
         let lowered = IrFusedGat::new(Arc::clone(&g), 0.2);
 
@@ -72,11 +77,11 @@ fn lowered_gat_is_byte_identical_to_handwritten() {
         for threads in [1usize, 2, 4] {
             let ng = NativeEngine::with_threads(threads).unwrap();
             let run_nat = |k: &dyn FusedAttentionKernel| {
-                let dy = DeviceBuffer::<f32>::zeros(nv * f);
-                let da = DeviceBuffer::<f32>::zeros(nnz);
-                k.run_native(&ng, &dz, &del, &der, f, &dy, Some(&da))
+                let mut y = vec![0.0f32; nv * f];
+                let mut a = vec![0.0f32; nnz];
+                k.run_native(&ng, &z, &el, &er, f, &mut y, Some(&mut a))
                     .unwrap();
-                (dy.to_vec(), da.to_vec())
+                (y, a)
             };
             let (y_hand_n, a_hand_n) = run_nat(&hand);
             let (y_low_n, a_low_n) = run_nat(&lowered);
@@ -97,8 +102,9 @@ fn lowered_u_add_v_is_byte_identical_to_handwritten() {
     for g in graphs() {
         let nv = g.num_vertices();
         let nnz = g.nnz();
-        let del = DeviceBuffer::from_slice(&features(nv, 1, 43));
-        let der = DeviceBuffer::from_slice(&features(nv, 1, 47));
+        let (el, er) = (features(nv, 1, 43), features(nv, 1, 47));
+        let del = DeviceBuffer::from_slice(&el);
+        let der = DeviceBuffer::from_slice(&er);
         let hand = GnnOneUAddV::new(Arc::clone(&g));
         let lowered = IrUAddV::new(Arc::clone(&g));
 
@@ -112,9 +118,9 @@ fn lowered_u_add_v_is_byte_identical_to_handwritten() {
         for threads in [1usize, 2, 4] {
             let ng = NativeEngine::with_threads(threads).unwrap();
             let run_nat = |k: &dyn EdgeApplyKernel| {
-                let dw = DeviceBuffer::<f32>::zeros(nnz);
-                k.run_native(&ng, &del, &der, &dw).unwrap();
-                dw.to_vec()
+                let mut w = vec![0.0f32; nnz];
+                k.run_native(&ng, &el, &er, &mut w).unwrap();
+                w
             };
             assert_eq!(
                 run_nat(&hand),

@@ -52,7 +52,8 @@ fn int_features(n: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Non-integer f32s, for the K = 1 byte-identity check.
+/// Non-integer f32s, for the checks that hold whatever the values: the
+/// K = 1 identity, and native sharding at any K.
 fn float_features(n: usize, salt: usize) -> Vec<f32> {
     (0..n)
         .map(|i| (((i * 31 + salt * 17) % 23) as f32 - 11.0) * 0.1)
@@ -151,6 +152,32 @@ fn sharded_matches_unsharded_bitwise_for_every_registry_kernel() {
                 for (i, (a, b)) in reference.iter().zip(&sharded).enumerate() {
                     assert_eq!(a, b, "kernel #{i}, K={k}: sharded output diverged");
                 }
+            }
+        }
+    }
+}
+
+/// On native, sharding is bitwise-invisible with real-valued features too:
+/// every native routine reduces each row sequentially in CSR edge order,
+/// and the local renumbering of a shard keeps that order, so no integer
+/// trick is needed to make the association order match.
+#[test]
+fn native_sharding_is_bitwise_with_real_valued_features() {
+    for g in graphs() {
+        let ops = operands(&g, float_features);
+        for k in [2usize, 4] {
+            let topo = ShardTopology::native(4, k).unwrap();
+            let reference = unsharded_all(&g, &ops, &topo);
+            let exec = ShardedExecutor::new(Arc::clone(&g), k, topo).unwrap();
+            let sharded = sharded_all(&exec, &g, &ops);
+            assert_eq!(reference.len(), 22, "21 kernels, fused with α");
+            assert_eq!(reference.len(), sharded.len());
+            for (i, (a, b)) in reference.iter().zip(&sharded).enumerate() {
+                assert_eq!(
+                    bits(a),
+                    bits(b),
+                    "kernel #{i}, K={k}: sharded output diverged"
+                );
             }
         }
     }
