@@ -40,6 +40,8 @@ use gnnone_sim::{ChaosConfig, DeviceBuffer, FaultKind, GnnOneError, Gpu, Sanitiz
 use gnnone_sparse::datasets::{Dataset, Scale};
 use gnnone_sparse::reference;
 
+use crate::panic_message;
+
 /// Relative-error ceiling for the CPU cross-check: at or below this the
 /// fault is `masked`, above it is `silent-data-corruption`. Loose enough
 /// for association-order noise in the fused (exp) path, tight enough that
@@ -510,16 +512,6 @@ fn sweep_dataset(
         });
     }
     Ok(())
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -318,18 +318,11 @@ fn drive_all_kernels(
             // A structured decline (grid shape, OOM…) is an allowed answer.
             Ok(Err(_)) => {}
             Err(payload) => {
-                let msg = if let Some(s) = payload.downcast_ref::<&'static str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
                 report.findings.push(FuzzFinding {
                     case: case.to_string(),
                     kernel: Some(name.to_string()),
                     kind: FindingKind::Panic,
-                    detail: msg,
+                    detail: crate::panic_message(payload),
                 });
             }
         }

@@ -63,22 +63,24 @@ pub fn figure_main(
     let error = match outcome {
         Ok(Ok(())) => return std::process::ExitCode::SUCCESS,
         Ok(Err(e)) => e,
-        Err(payload) => {
-            let detail = if let Some(s) = payload.downcast_ref::<&'static str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            GnnOneError::Panic {
-                context: name.to_string(),
-                detail,
-            }
-        }
+        Err(payload) => GnnOneError::Panic {
+            context: name.to_string(),
+            detail: panic_message(payload),
+        },
     };
     eprintln!("{name}: error: {}", error.to_json().to_string_compact());
     std::process::ExitCode::FAILURE
+}
+
+/// The message a caught panic carried: its `&str` or `String` payload.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// Maps an I/O failure to a [`GnnOneError::Io`] with the path attached.

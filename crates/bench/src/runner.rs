@@ -25,8 +25,8 @@ use gnnone_sparse::datasets::{table1, Dataset, DatasetSpec, Scale};
 use gnnone_sparse::reference;
 
 use crate::cli::Options;
-use crate::figure_gpu_spec;
 use crate::report::Cell;
+use crate::{figure_gpu_spec, panic_message};
 
 /// Builds the execution backend the options ask for: the figure-standard
 /// simulator device for `--backend sim` (the default), or a
@@ -524,16 +524,6 @@ impl SweepGuard {
             eprintln!("  {q}");
         }
         true
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

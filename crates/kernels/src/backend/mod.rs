@@ -25,7 +25,7 @@ use std::str::FromStr;
 use gnnone_sim::engine::LaunchError;
 use gnnone_sim::{DeviceBuffer, Gpu, KernelReport};
 
-pub use native::{NativeEngine, NativeReport};
+pub use native::{Dst, Mem, NativeEngine, NativeReport, Src};
 
 use crate::traits::{
     EdgeApplyKernel, FusedAttentionKernel, KernelRef, SddmmKernel, SpmmKernel, SpmvKernel,

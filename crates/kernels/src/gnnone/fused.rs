@@ -32,6 +32,7 @@ use gnnone_sim::{
 };
 
 use crate::analysis::{summaries, AccessSummary, ExecModel};
+use crate::backend::native::{Dst, Src};
 use crate::geometry::GroupGeometry;
 use crate::gnnone::config::GnnOneConfig;
 use crate::gnnone::pipeline::{CsrRows, Stage2Ctx, TwoStagePipeline};
@@ -123,11 +124,11 @@ impl FusedAttentionKernel for FusedGatAttention {
         &self,
         eng: &crate::backend::NativeEngine,
         z: &[f32],
-        el: &[f32],
-        er: &[f32],
+        el: Src<'_>,
+        er: Src<'_>,
         f: usize,
-        y: &mut [f32],
-        alpha_out: Option<&mut [f32]>,
+        y: Dst<'_>,
+        alpha_out: Option<Dst<'_>>,
     ) -> Result<crate::backend::NativeReport, LaunchError> {
         Ok(crate::backend::native::fused_gat_rows(
             eng,

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use gnnone_sim::{engine::LaunchError, DeviceBuffer, Gpu, KernelReport};
 
 use crate::analysis::{summaries, AccessSummary, ExecModel};
+use crate::backend::native::{Dst, Src};
 use crate::gnnone::config::GnnOneConfig;
 use crate::gnnone::pipeline::{stage2_geometry, CooNzes, TwoStagePipeline};
 use crate::gnnone::reduce::EdgeDot;
@@ -98,10 +99,10 @@ impl SddmmKernel for GnnOneSddmm {
     fn run_native(
         &self,
         eng: &crate::backend::NativeEngine,
-        x: &[f32],
+        x: Src<'_>,
         y: &[f32],
         f: usize,
-        w: &mut [f32],
+        w: Dst<'_>,
     ) -> Result<crate::backend::NativeReport, LaunchError> {
         Ok(crate::backend::native::sddmm_edges(
             eng,

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use gnnone_sim::{engine::LaunchError, DeviceBuffer, Gpu, KernelReport};
 
 use crate::analysis::{summaries, AccessSummary, ExecModel};
+use crate::backend::native::{Dst, Src};
 use crate::gnnone::config::GnnOneConfig;
 use crate::gnnone::pipeline::{stage2_geometry, CooNzes, TwoStagePipeline};
 use crate::gnnone::reduce::RowAccum;
@@ -96,10 +97,10 @@ impl SpmmKernel for GnnOneSpmm {
     fn run_native(
         &self,
         eng: &crate::backend::NativeEngine,
-        edge_vals: &[f32],
+        edge_vals: Src<'_>,
         x: &[f32],
         f: usize,
-        y: &mut [f32],
+        y: Dst<'_>,
     ) -> Result<crate::backend::NativeReport, LaunchError> {
         Ok(crate::backend::native::spmm_rows(
             eng,

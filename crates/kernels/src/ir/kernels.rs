@@ -17,6 +17,7 @@ use gnnone_sim::{engine::LaunchError, DeviceBuffer, Gpu, KernelReport};
 use super::lower::{lower, LowerOptions, Step};
 use super::{gat_attention_graph, u_add_v_graph};
 use crate::analysis::{summaries, AccessSummary, ExecModel};
+use crate::backend::native::{Dst, Src};
 use crate::geometry::GroupGeometry;
 use crate::gnnone::config::{GnnOneConfig, Schedule};
 use crate::gnnone::fused::{RowSoftmaxGat, LOGIT_CACHE};
@@ -134,11 +135,11 @@ impl FusedAttentionKernel for IrFusedGat {
         &self,
         eng: &crate::backend::NativeEngine,
         z: &[f32],
-        el: &[f32],
-        er: &[f32],
+        el: Src<'_>,
+        er: Src<'_>,
         f: usize,
-        y: &mut [f32],
-        alpha_out: Option<&mut [f32]>,
+        y: Dst<'_>,
+        alpha_out: Option<Dst<'_>>,
     ) -> Result<crate::backend::NativeReport, LaunchError> {
         Ok(crate::backend::native::fused_gat_rows(
             eng,

@@ -9,7 +9,8 @@
 //!
 //! Every trait is **backend-portable**: `run` executes on the simulator
 //! over device buffers, `run_native` executes the same operands on the
-//! native CPU engine ([`NativeEngine`]) as plain host slices, and `graph`
+//! native CPU engine ([`NativeEngine`]) as host slices or in place on
+//! device buffers ([`Src`]/[`Dst`]), and `graph`
 //! exposes the captured graph tensors so a backend can schedule the
 //! launch itself. `run_native` has a provided implementation that routes
 //! to the shared native routines in [`crate::backend::native`] (picking
@@ -23,12 +24,12 @@
 //! in two operand forms: [`Kernel::launch`] over device buffers and
 //! [`Kernel::launch_host`] over host slices. They are the only place that
 //! matches a kernel family against a backend, and the only place a native
-//! launch copies between device buffers and host vectors.
+//! launch copies a device buffer to a host vector.
 
 use gnnone_sim::{engine::LaunchError, DeviceBuffer, Gpu, KernelReport};
 
 use crate::analysis::{summaries, AccessSummary, ExecModel};
-use crate::backend::native::{self, NativeEngine, NativeReport};
+use crate::backend::native::{self, Dst, Mem, NativeEngine, NativeReport, Src};
 use crate::backend::{Device, ExecReport};
 use crate::graph::GraphData;
 use crate::ir::{Dim, Space};
@@ -77,6 +78,18 @@ impl Op {
             Op::Spmv => "spmv",
             Op::EdgeApply => "edge_apply",
             Op::Fused => "fused",
+        }
+    }
+
+    /// The input a native routine gathers by column with vector loads
+    /// (SDDMM `y`, SpMM `x`, fused `z`), if the family has one. It is the
+    /// one operand a native launch over device buffers copies to the
+    /// host; the others are streamed in place.
+    pub fn gathered(self) -> Option<usize> {
+        match self {
+            Op::Sddmm | Op::Spmm => Some(1),
+            Op::Fused => Some(0),
+            Op::Spmv | Op::EdgeApply => None,
         }
     }
 
@@ -272,22 +285,30 @@ impl KernelRef<'_> {
         }
     }
 
-    /// The family's native launch, over host slices.
+    /// The family's native launch. The [`Op::gathered`] input must be on
+    /// the host.
     fn run_native(
         self,
         eng: &NativeEngine,
-        i: &[&[f32]],
+        i: &[Src<'_>],
         f: usize,
-        o: &mut [&mut [f32]],
+        o: Vec<Dst<'_>>,
     ) -> Result<NativeReport, LaunchError> {
-        let (out, rest) = o.split_first_mut().expect("arity checked");
-        let alpha = rest.first_mut().map(|a| &mut **a);
+        fn host(src: Src<'_>) -> &[f32] {
+            match src {
+                Mem::Host(h) => h,
+                Mem::Device(_) => unreachable!("the gathered operand is staged before launch"),
+            }
+        }
+        let mut o = o.into_iter();
+        let out = o.next().expect("arity checked");
+        let alpha = o.next();
         match self {
-            KernelRef::Sddmm(k) => k.run_native(eng, i[0], i[1], f, out),
-            KernelRef::Spmm(k) => k.run_native(eng, i[0], i[1], f, out),
+            KernelRef::Sddmm(k) => k.run_native(eng, i[0], host(i[1]), f, out),
+            KernelRef::Spmm(k) => k.run_native(eng, i[0], host(i[1]), f, out),
             KernelRef::Spmv(k) => k.run_native(eng, i[0], i[1], out),
             KernelRef::EdgeApply(k) => k.run_native(eng, i[0], i[1], out),
-            KernelRef::Fused(k) => k.run_native(eng, i[0], i[1], i[2], f, out, alpha),
+            KernelRef::Fused(k) => k.run_native(eng, host(i[0]), i[1], i[2], f, out, alpha),
         }
     }
 
@@ -303,33 +324,32 @@ impl KernelRef<'_> {
         match device {
             Device::Sim(gpu) => self.run_sim(gpu, i, f, o).map(ExecReport::from_sim),
             Device::Native(eng) => {
-                // The only place a native launch stages device buffers:
-                // inputs are read out, and each output starts from what the
-                // family does with it — vertex outputs are row reductions
-                // that accumulate into the buffer's contents, edge outputs
-                // are overwritten whole and start from zeros.
-                let inputs: Vec<Vec<f32>> = i.iter().map(|b| b.to_vec()).collect();
-                let mut outputs: Vec<Vec<f32>> = o
+                // The only place a native launch stages a device buffer:
+                // the gathered input, which the routine reads with vector
+                // loads that a device view cannot give, and any input that
+                // is also an output, so the kernel reads it as it was
+                // before the launch. Every other operand is read and
+                // written in place.
+                let gathered = self.op().gathered();
+                let staged: Vec<Option<Vec<f32>>> = i
                     .iter()
-                    .zip(self.op().signature().outputs)
-                    .map(|(b, &(space, _))| match space {
-                        Space::Vertex => b.to_vec(),
-                        Space::Edge => vec![0.0; b.len()],
+                    .enumerate()
+                    .map(|(k, b)| {
+                        let aliased = o.iter().any(|out| out.addr_base() == b.addr_base());
+                        (gathered == Some(k) || aliased).then(|| b.to_vec())
                     })
                     .collect();
-                let report = self.run_native(
-                    eng,
-                    &inputs.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-                    f,
-                    &mut outputs
-                        .iter_mut()
-                        .map(Vec::as_mut_slice)
-                        .collect::<Vec<_>>(),
-                )?;
-                for (b, host) in o.iter().zip(&outputs) {
-                    b.copy_from_slice(host);
-                }
-                Ok(ExecReport::from_native(report))
+                let inputs: Vec<Src<'_>> = i
+                    .iter()
+                    .zip(&staged)
+                    .map(|(b, host)| match host {
+                        Some(h) => Mem::Host(h.as_slice()),
+                        None => Mem::Device(b.view()),
+                    })
+                    .collect();
+                let outputs = o.iter().map(|b| Mem::Device(b.view())).collect();
+                self.run_native(eng, &inputs, f, outputs)
+                    .map(ExecReport::from_native)
             }
         }
     }
@@ -344,7 +364,12 @@ impl KernelRef<'_> {
     ) -> Result<ExecReport, LaunchError> {
         self.check_arity(i.len(), o.len());
         match device {
-            Device::Native(eng) => self.run_native(eng, i, f, o).map(ExecReport::from_native),
+            Device::Native(eng) => {
+                let inputs: Vec<Src<'_>> = i.iter().map(|&h| Mem::Host(h)).collect();
+                let outputs = o.iter_mut().map(|h| Mem::Host(&mut **h)).collect();
+                self.run_native(eng, &inputs, f, outputs)
+                    .map(ExecReport::from_native)
+            }
             Device::Sim(gpu) => {
                 let inputs: Vec<DeviceBuffer<f32>> =
                     i.iter().map(|h| DeviceBuffer::from_slice(h)).collect();
@@ -389,16 +414,16 @@ pub trait SpmmKernel: Send + Sync {
         y: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend, over host
-    /// slices: row-split over nnz-balanced row blocks, bit-identical
-    /// across thread counts.
+    /// Executes the same launch on the native CPU backend: row-split
+    /// over nnz-balanced row blocks, bit-identical across thread counts.
+    /// `x` is gathered by column, so it is always a host slice.
     fn run_native(
         &self,
         eng: &NativeEngine,
-        edge_vals: &[f32],
+        edge_vals: Src<'_>,
         x: &[f32],
         f: usize,
-        y: &mut [f32],
+        y: Dst<'_>,
     ) -> Result<NativeReport, LaunchError> {
         Ok(native::spmm_rows(
             eng,
@@ -463,17 +488,17 @@ pub trait SddmmKernel: Send + Sync {
         w: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend, over host
-    /// slices. COO kernels take the edge-parallel path; CSR/custom
-    /// (vertex-parallel) kernels take the row-parallel path, matching
-    /// their launch geometry.
+    /// Executes the same launch on the native CPU backend. COO kernels
+    /// take the edge-parallel path; CSR/custom (vertex-parallel) kernels
+    /// take the row-parallel path, matching their launch geometry. `y` is
+    /// gathered by column, so it is always a host slice.
     fn run_native(
         &self,
         eng: &NativeEngine,
-        x: &[f32],
+        x: Src<'_>,
         y: &[f32],
         f: usize,
-        w: &mut [f32],
+        w: Dst<'_>,
     ) -> Result<NativeReport, LaunchError> {
         Ok(if self.format() == "COO" {
             native::sddmm_edges(
@@ -548,14 +573,14 @@ pub trait EdgeApplyKernel: Send + Sync {
         w: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend, over host
-    /// slices (edge-parallel over contiguous NZE blocks).
+    /// Executes the same launch on the native CPU backend
+    /// (edge-parallel over contiguous NZE blocks).
     fn run_native(
         &self,
         eng: &NativeEngine,
-        el: &[f32],
-        er: &[f32],
-        w: &mut [f32],
+        el: Src<'_>,
+        er: Src<'_>,
+        w: Dst<'_>,
     ) -> Result<NativeReport, LaunchError> {
         Ok(native::u_add_v_edges(
             eng,
@@ -618,20 +643,21 @@ pub trait FusedAttentionKernel: Send + Sync {
         alpha_out: Option<&DeviceBuffer<f32>>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend, over host
-    /// slices. No provided implementation: fused attention carries
-    /// kernel-specific state (e.g. the LeakyReLU slope), so each
-    /// implementation routes to the native routine itself.
+    /// Executes the same launch on the native CPU backend; `z` is
+    /// gathered by column, so it is always a host slice. No provided
+    /// implementation: fused attention carries kernel-specific state
+    /// (e.g. the LeakyReLU slope), so each implementation routes to the
+    /// native routine itself.
     #[allow(clippy::too_many_arguments)]
     fn run_native(
         &self,
         eng: &NativeEngine,
         z: &[f32],
-        el: &[f32],
-        er: &[f32],
+        el: Src<'_>,
+        er: Src<'_>,
         f: usize,
-        y: &mut [f32],
-        alpha_out: Option<&mut [f32]>,
+        y: Dst<'_>,
+        alpha_out: Option<Dst<'_>>,
     ) -> Result<NativeReport, LaunchError>;
 
     /// Symbolic access summary under one execution model, or `None` when
@@ -665,14 +691,14 @@ pub trait SpmvKernel: Send + Sync {
         y: &DeviceBuffer<f32>,
     ) -> Result<KernelReport, LaunchError>;
 
-    /// Executes the same launch on the native CPU backend, over host
-    /// slices (row-split, scalar features).
+    /// Executes the same launch on the native CPU backend (row-split,
+    /// scalar features).
     fn run_native(
         &self,
         eng: &NativeEngine,
-        edge_vals: &[f32],
-        x: &[f32],
-        y: &mut [f32],
+        edge_vals: Src<'_>,
+        x: Src<'_>,
+        y: Dst<'_>,
     ) -> Result<NativeReport, LaunchError> {
         Ok(native::spmv_rows(
             eng,

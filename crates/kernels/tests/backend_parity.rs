@@ -9,10 +9,11 @@
 
 use std::sync::Arc;
 
-use gnnone_kernels::backend::{Device, NativeEngine};
+use gnnone_kernels::backend::{Device, Mem, NativeEngine};
 use gnnone_kernels::gnnone::fused::fused_gat_reference;
 use gnnone_kernels::gnnone::{GnnOneConfig, GnnOneSddmm, GnnOneSpmm, Schedule};
 use gnnone_kernels::graph::GraphData;
+use gnnone_kernels::ir::Space;
 use gnnone_kernels::registry::{self, SweepInputs};
 use gnnone_kernels::traits::{Kernel, Op, SddmmKernel, SpmmKernel};
 use gnnone_sim::{DeviceBuffer, Gpu, GpuSpec};
@@ -160,12 +161,12 @@ fn native_lattice_matches_reference() {
             for cfg in config_lattice() {
                 let mut dw = vec![0.0f32; g.nnz()];
                 GnnOneSddmm::new(Arc::clone(&g), cfg)
-                    .run_native(&ng, &x, &y, f, &mut dw)
+                    .run_native(&ng, Mem::Host(&x), &y, f, Mem::Host(&mut dw))
                     .unwrap();
                 reference::assert_close(&dw, &sddmm_ref, 1e-3);
                 let mut dy = vec![0.0f32; nv * f];
                 GnnOneSpmm::new(Arc::clone(&g), cfg)
-                    .run_native(&ng, &w, &x, f, &mut dy)
+                    .run_native(&ng, Mem::Host(&w), &x, f, Mem::Host(&mut dy))
                     .unwrap();
                 reference::assert_close(&dy, &spmm_ref, 1e-3);
             }
@@ -189,6 +190,123 @@ fn native_output_is_bitwise_deterministic_across_thread_counts() {
                 .collect();
             assert_eq!(outs[0], outs[1], "{}: 1 vs 2 threads", k.name());
             assert_eq!(outs[0], outs[2], "{}: 1 vs 4 threads", k.name());
+        }
+    }
+}
+
+/// Output contents before a launch: non-zero real values in vertex
+/// outputs, which row reductions accumulate into, and NaN garbage in edge
+/// outputs, which must be overwritten whole. `staged` puts zeros in the
+/// edge outputs instead, as the launch path did when it staged every
+/// device buffer through a host vector.
+fn prefilled(k: &Kernel, f: usize, staged: bool) -> Vec<Vec<f32>> {
+    k.signature()
+        .outputs
+        .iter()
+        .zip(k.output_lens(f))
+        .map(|(&(space, _), len)| match space {
+            Space::Vertex => features(len, 1, 26),
+            Space::Edge if staged => vec![0.0; len],
+            Space::Edge => vec![f32::from_bits(0x7fc0_dead); len],
+        })
+        .collect()
+}
+
+fn bits(outs: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    outs.iter()
+        .map(|o| o.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// A graph whose rows span several default-config row blocks (1024
+/// NZEs each), so tasks split the outputs into several spans.
+fn multi_block_graph() -> Arc<GraphData> {
+    let el = gnnone_sparse::gen::rmat(9, 3000, gnnone_sparse::gen::GRAPH500_PROBS, 5).symmetrize();
+    let g = Arc::new(GraphData::new(Coo::from_edge_list(&el)));
+    assert!(g.nnz() > 4 * 1024, "needs several 1024-NZE row blocks");
+    g
+}
+
+/// The two operand forms agree bit for bit: every registry kernel
+/// launched on native device buffers (`Kernel::launch`, which streams
+/// every operand but the gathered one in place) equals the same launch on
+/// host slices (`Kernel::launch_host`) and the staged launch path it
+/// replaced, at 1, 2 and 4 threads, on real-valued inputs.
+#[test]
+fn device_and_host_operands_give_identical_bits() {
+    let engines = [eng(1), eng(2), eng(4)];
+    for g in graphs().into_iter().chain([multi_block_graph()]) {
+        let f = 16usize;
+        let host = inputs(&g, f);
+        let dev = host.upload();
+        for k in registry::all(&g) {
+            let host_inputs: Vec<&[f32]> =
+                host.for_op(k.op()).into_iter().map(|v| &v[..]).collect();
+            let run_host = |ng: &NativeEngine, staged: bool| {
+                let mut outs = prefilled(&k, f, staged);
+                let mut slices: Vec<&mut [f32]> = outs.iter_mut().map(|o| &mut o[..]).collect();
+                k.launch_host(Device::Native(ng), &host_inputs, f, &mut slices)
+                    .unwrap();
+                bits(&outs)
+            };
+            let staged = run_host(&engines[0], true);
+            for ng in &engines {
+                let threads = ng.threads();
+                assert_eq!(
+                    run_host(ng, false),
+                    staged,
+                    "{} host, {threads} threads",
+                    k.name()
+                );
+                let outputs: Vec<DeviceBuffer<f32>> = prefilled(&k, f, false)
+                    .iter()
+                    .map(|o| DeviceBuffer::from_slice(o))
+                    .collect();
+                k.launch(
+                    Device::Native(ng),
+                    &dev.for_op(k.op()),
+                    f,
+                    &outputs.iter().collect::<Vec<_>>(),
+                )
+                .unwrap();
+                let device: Vec<Vec<f32>> = outputs.iter().map(DeviceBuffer::to_vec).collect();
+                assert_eq!(
+                    bits(&device),
+                    staged,
+                    "{} device, {threads} threads",
+                    k.name()
+                );
+            }
+        }
+    }
+}
+
+/// A device buffer passed as both an input and the output is read as it
+/// was before the launch, as when every operand was staged: SpMM with
+/// `x` and `y` one buffer, and SpMV, whose streamed `x` would otherwise
+/// see rows the launch has already written. The graph spans several row
+/// blocks, so later blocks read rows that earlier blocks have stored.
+#[test]
+fn an_input_that_aliases_the_output_reads_its_pre_launch_contents() {
+    let ng = eng(2);
+    let g = multi_block_graph();
+    {
+        let host = inputs(&g, 16);
+        for (name, op, f, x) in [
+            ("GnnOne", Op::Spmm, 16usize, &host.x),
+            ("GnnOne", Op::Spmv, 1, &host.el),
+        ] {
+            let k = registry::by_name(&g, op, name).expect("GNNOne kernel");
+            let mut staged = x.clone();
+            k.launch_host(Device::Native(&ng), &[&host.w, x], f, &mut [&mut staged])
+                .unwrap();
+            let (w, xy) = (
+                DeviceBuffer::from_slice(&host.w),
+                DeviceBuffer::from_slice(x),
+            );
+            k.launch(Device::Native(&ng), &[&w, &xy], f, &[&xy])
+                .unwrap();
+            assert_eq!(bits(&[xy.to_vec()]), bits(&[staged]), "{}", k.name());
         }
     }
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use gnnone_kernels::analysis::{check_summary, ExecModel, Verdict};
-use gnnone_kernels::backend::{Backend, NativeEngine};
+use gnnone_kernels::backend::{Backend, Mem, NativeEngine};
 use gnnone_kernels::gnnone::fused::fused_gat_reference;
 use gnnone_kernels::gnnone::{FusedGatAttention, GnnOneUAddV};
 use gnnone_kernels::graph::GraphData;
@@ -79,8 +79,17 @@ fn lowered_gat_is_byte_identical_to_handwritten() {
             let run_nat = |k: &dyn FusedAttentionKernel| {
                 let mut y = vec![0.0f32; nv * f];
                 let mut a = vec![0.0f32; nnz];
-                k.run_native(&ng, &z, &el, &er, f, &mut y, Some(&mut a))
-                    .unwrap();
+                let (el, er) = (Mem::Host(&el[..]), Mem::Host(&er[..]));
+                k.run_native(
+                    &ng,
+                    &z,
+                    el,
+                    er,
+                    f,
+                    Mem::Host(&mut y),
+                    Some(Mem::Host(&mut a)),
+                )
+                .unwrap();
                 (y, a)
             };
             let (y_hand_n, a_hand_n) = run_nat(&hand);
@@ -119,7 +128,8 @@ fn lowered_u_add_v_is_byte_identical_to_handwritten() {
             let ng = NativeEngine::with_threads(threads).unwrap();
             let run_nat = |k: &dyn EdgeApplyKernel| {
                 let mut w = vec![0.0f32; nnz];
-                k.run_native(&ng, &el, &er, &mut w).unwrap();
+                k.run_native(&ng, Mem::Host(&el), Mem::Host(&er), Mem::Host(&mut w))
+                    .unwrap();
                 w
             };
             assert_eq!(

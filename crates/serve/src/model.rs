@@ -26,8 +26,9 @@ use gnnone_kernels::backend::{Backend, BackendKind, ExecReport, NativeEngine};
 use gnnone_kernels::gnnone::GnnOneRowSpmm;
 use gnnone_kernels::graph::GraphData;
 use gnnone_kernels::ir::IrFusedGat;
+use gnnone_kernels::traits::Kernel;
 use gnnone_sim::engine::LaunchError;
-use gnnone_sim::{DeviceBuffer, GnnOneError, Gpu, GpuSpec};
+use gnnone_sim::{GnnOneError, Gpu, GpuSpec};
 use gnnone_sparse::datasets::Dataset;
 use gnnone_sparse::formats::{Coo, Csr};
 use gnnone_sparse::reference;
@@ -96,7 +97,7 @@ struct GcnPlan {
     /// Per-edge symmetric normalization `1/√(d_u·d_v)`, CSR order.
     norm: Vec<f32>,
     /// `|V| × classes` pre-aggregation logits `relu(Â(XW₁+b₁))W₂+b₂`.
-    d_z2: DeviceBuffer<f32>,
+    z2: Vec<f32>,
 }
 
 /// One cached GAT output-layer head: serving a batch is one fused
@@ -104,10 +105,10 @@ struct GcnPlan {
 struct GatHeadPlan {
     /// Per-vertex destination attention term `z·aₗ` (`|V|`).
     el: Vec<f32>,
-    /// Per-vertex source attention term `z·aᵣ` (`|V|`), device-resident.
-    d_er: DeviceBuffer<f32>,
-    /// Projected features `|V| × classes`, device-resident.
-    d_z: DeviceBuffer<f32>,
+    /// Per-vertex source attention term `z·aᵣ` (`|V|`).
+    er: Vec<f32>,
+    /// Projected features `|V| × classes`.
+    z: Vec<f32>,
 }
 
 struct GatPlan {
@@ -213,6 +214,10 @@ impl ServingState {
     /// (`nodes.len() × classes`, row `i` answering `nodes[i]`) plus an
     /// aggregate execution report.
     ///
+    /// The cached operands are host vectors launched through
+    /// [`Kernel::launch_host`]: the native backend reads them in place,
+    /// and the simulator uploads them for each launch.
+    ///
     /// The contract the property tests pin: row `i` of the result is
     /// bitwise-identical to serving `nodes[i]` in a batch of one.
     pub fn launch(
@@ -230,23 +235,27 @@ impl ServingState {
                 for &node in nodes {
                     vals.extend_from_slice(&plan.norm[csr.row_range(node as usize)]);
                 }
-                let d_vals = DeviceBuffer::from_slice(&vals);
-                let d_y = DeviceBuffer::<f32>::zeros(b * cls);
-                let kernel = GnnOneRowSpmm::new(graph);
-                let report = backend.run_spmm(&kernel, &d_vals, &plan.d_z2, cls, &d_y)?;
-                Ok((d_y.to_vec(), report))
+                let mut y = vec![0.0f32; b * cls];
+                let kernel = Kernel::Spmm(Box::new(GnnOneRowSpmm::new(graph)));
+                let report =
+                    kernel.launch_host(backend.device(), &[&vals, &plan.z2], cls, &mut [&mut y])?;
+                Ok((y, report))
             }
             Plan::Gat(plan) => {
                 let mut y = vec![0.0f32; b * cls];
                 let mut total = None::<ExecReport>;
                 for head in &plan.heads {
                     let el: Vec<f32> = nodes.iter().map(|&v| head.el[v as usize]).collect();
-                    let d_el = DeviceBuffer::from_slice(&el);
-                    let d_y = DeviceBuffer::<f32>::zeros(b * cls);
-                    let kernel = IrFusedGat::new(Arc::clone(&graph), plan.slope);
-                    let report = backend
-                        .run_fused(&kernel, &head.d_z, &d_el, &head.d_er, cls, &d_y, None)?;
-                    for (acc, v) in y.iter_mut().zip(d_y.to_vec()) {
+                    let mut head_y = vec![0.0f32; b * cls];
+                    let kernel =
+                        Kernel::Fused(Box::new(IrFusedGat::new(Arc::clone(&graph), plan.slope)));
+                    let report = kernel.launch_host(
+                        backend.device(),
+                        &[&head.z, &el, &head.er],
+                        cls,
+                        &mut [&mut head_y],
+                    )?;
+                    for (acc, v) in y.iter_mut().zip(head_y) {
                         *acc += v;
                     }
                     total = Some(match total {
@@ -334,13 +343,7 @@ fn build_gcn(
     }
     let z2 = affine(&h1, n, HIDDEN, w.w2.data(), w.b2.data(), classes);
     let logits = reference::spmm_csr(csr, &norm, &z2, classes);
-    (
-        GcnPlan {
-            norm,
-            d_z2: DeviceBuffer::from_slice(&z2),
-        },
-        logits,
-    )
+    (GcnPlan { norm, z2 }, logits)
 }
 
 /// CPU reference of one fused-GAT head over the full graph:
@@ -471,11 +474,7 @@ fn build_gat(
     }
     let heads = final_triples
         .into_iter()
-        .map(|(z, el, er)| GatHeadPlan {
-            el,
-            d_er: DeviceBuffer::from_slice(&er),
-            d_z: DeviceBuffer::from_slice(&z),
-        })
+        .map(|(z, el, er)| GatHeadPlan { el, er, z })
         .collect();
     (GatPlan { heads, slope }, logits)
 }

@@ -158,29 +158,99 @@ impl<T: Pod32> DeviceBuffer<T> {
             .collect()
     }
 
-    /// Bulk host→device copy: overwrites the whole buffer from `data`
-    /// (which must match the buffer length). Element-wise relaxed stores,
-    /// the bulk form of [`DeviceBuffer::write`] — used by the native
-    /// backend to publish results computed outside the simulator.
-    pub fn copy_from_slice(&self, data: &[T]) {
-        assert_eq!(
-            data.len(),
-            self.len(),
-            "copy_from_slice length mismatch: {} != {}",
-            data.len(),
-            self.len()
-        );
-        for (w, v) in self.words.iter().zip(data) {
-            w.store(v.to_bits32(), Ordering::Relaxed);
-        }
-    }
-
     /// Resets every element to `T::default()`.
     pub fn fill_default(&self) {
         let bits = T::default().to_bits32();
         for w in self.words.iter() {
             w.store(bits, Ordering::Relaxed);
         }
+    }
+
+    /// A borrowed view of every element, for host code that reads or
+    /// writes the buffer in place instead of copying it out and back.
+    pub fn view(&self) -> DeviceView<'_, T> {
+        DeviceView {
+            words: &self.words,
+            _marker: std::marker::PhantomData,
+        }
+    }
+}
+
+/// A borrowed span of a [`DeviceBuffer`]'s elements.
+///
+/// Accesses are the same relaxed atomics as [`DeviceBuffer::read`] and
+/// [`DeviceBuffer::write`], so a view is `Copy`, can be shared across
+/// threads, and can be split into disjoint spans that different threads
+/// write. It is the safe stand-in for a `&[T]`/`&mut [T]` over device
+/// memory: each element costs one relaxed load or store, which is as
+/// cheap as a plain one but never vectorizes.
+pub struct DeviceView<'a, T: Pod32> {
+    words: &'a [AtomicU32],
+    _marker: std::marker::PhantomData<T>,
+}
+
+impl<T: Pod32> Clone for DeviceView<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: Pod32> Copy for DeviceView<'_, T> {}
+
+impl<'a, T: Pod32> DeviceView<'a, T> {
+    /// Number of elements in the view.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the view holds zero elements.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Reads element `idx`.
+    #[inline]
+    pub fn load(&self, idx: usize) -> T {
+        T::from_bits32(self.words[idx].load(Ordering::Relaxed))
+    }
+
+    /// Writes element `idx`.
+    #[inline]
+    pub fn store(&self, idx: usize, value: T) {
+        self.words[idx].store(value.to_bits32(), Ordering::Relaxed);
+    }
+
+    /// Reads elements `start .. start + out.len()` into `out`.
+    #[inline]
+    pub fn load_into(&self, start: usize, out: &mut [T]) {
+        let words = &self.words[start..start + out.len()];
+        for (o, w) in out.iter_mut().zip(words) {
+            *o = T::from_bits32(w.load(Ordering::Relaxed));
+        }
+    }
+
+    /// Writes `data` to elements `start .. start + data.len()`.
+    #[inline]
+    pub fn store_from(&self, start: usize, data: &[T]) {
+        for (w, v) in self.words[start..start + data.len()].iter().zip(data) {
+            w.store(v.to_bits32(), Ordering::Relaxed);
+        }
+    }
+
+    /// Splits the view into elements `[0, mid)` and `[mid, len)`.
+    pub fn split_at(self, mid: usize) -> (Self, Self) {
+        let (head, tail) = self.words.split_at(mid);
+        let wrap = |words| DeviceView {
+            words,
+            _marker: std::marker::PhantomData,
+        };
+        (wrap(head), wrap(tail))
+    }
+}
+
+impl<T: Pod32> std::fmt::Debug for DeviceView<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DeviceView(len={})", self.len())
     }
 }
 
@@ -270,6 +340,20 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(b.read(0), 4000.0);
+    }
+
+    #[test]
+    fn view_reads_and_writes_the_buffer_in_place() {
+        let b = DeviceBuffer::<f32>::from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let (head, tail) = b.view().split_at(2);
+        assert_eq!((head.len(), tail.len()), (2, 3));
+        assert_eq!(tail.load(0), 3.0);
+        let mut row = [0.0f32; 2];
+        tail.load_into(1, &mut row);
+        assert_eq!(row, [4.0, 5.0]);
+        head.store(1, -2.0);
+        tail.store_from(0, &[30.0, 40.0]);
+        assert_eq!(b.to_vec(), vec![1.0, -2.0, 30.0, 40.0, 5.0]);
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub mod topology;
 pub mod trace;
 pub mod warp;
 
-pub use buffer::{DeviceBuffer, Pod32};
+pub use buffer::{DeviceBuffer, DeviceView, Pod32};
 pub use chaos::{splitmix64, ChaosConfig, ChaosEngine, FaultKind, ShardFaultKind, Verdict};
 pub use engine::{Gpu, KernelReport, LaunchSpec};
 pub use error::{AbortReason, GnnOneError, KernelAbort, ShardAbort, ValidationError};
